@@ -7,7 +7,8 @@ the weight-k cusp space (:mod:`maeda.qseries`); the T2 matrix is read off the
 basis (:mod:`maeda.hecke`); reductions modulo random primes below 2^20 are
 classified by the factorization pattern of their characteristic polynomial
 (:mod:`maeda.ffpoly`); witnesses of three kinds certify the weight and are
-packaged into recheckable certificates (:mod:`maeda.certify`).  The expected
+packaged into certificates (:mod:`maeda.certify`), which are rechecked by
+building T2 mod p directly at the witness primes.  The expected
 search lengths come from cycle-pattern densities in the symmetric group
 (:mod:`maeda.density`), and :mod:`maeda.cli` drives batches.
 """
@@ -60,6 +61,7 @@ from .hecke import (
     dim_cusp_forms,
     hecke_coefficient,
     hecke_matrix_T2,
+    hecke_matrix_T2_mod_p,
     hecke_matrix_T2_spanning,
 )
 from .patterns import Pattern, PrimeType
@@ -69,6 +71,7 @@ from .qseries import (
     delta,
     eisenstein,
     miller_basis,
+    miller_basis_mod_p,
     series_add,
     series_mul,
     series_pow,

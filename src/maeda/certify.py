@@ -21,6 +21,13 @@ one prime may witness several kinds at once.  The resulting
 :class:`Certificate` can be rechecked from scratch by
 :func:`check_certificate` at the cost of a few modular characteristic
 polynomials, with no searching.
+
+The two paths build T2 differently.  The search tests tens to hundreds of
+primes per weight, so it builds the exact integer matrix once and reduces it
+at each prime.  The recheck needs only the few witness primes, so it builds
+T2 mod p directly at each of them (:func:`~maeda.hecke.hecke_matrix_T2_mod_p`),
+which costs milliseconds where the exact build costs seconds at d = 100; the
+search and the recheck thus share no matrix-building code.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .ffpoly import (
     is_squarefree,
     reduce_matrix,
 )
-from .hecke import dim_cusp_forms, hecke_matrix_T2
+from .hecke import dim_cusp_forms, hecke_matrix_T2, hecke_matrix_T2_mod_p
 from .patterns import Pattern, PrimeType
 from .primes import is_prime, sieve_primes
 
@@ -177,13 +184,15 @@ def verify_weight(
 ) -> Certificate:
     """Search for witness primes certifying weight k; return the certificate.
 
-    The Miller basis and the T2 matrix are built once.  Each trial draws a
-    prime (uniformly below ``bound`` in ``random`` mode, consecutively from 2
-    in ``consecutive`` mode), reduces the matrix, takes the characteristic
-    polynomial mod p, skips non-squarefree reductions (they still count as
-    trials), and classifies the pattern.  The search stops once every
-    required kind has a witness; ``max_trials`` (default 100 * d) turns a
-    stuck search into a loud :class:`SearchExhausted` rather than a hang.
+    The Miller basis and the exact T2 matrix are built once: over the many
+    trials of a search that is cheaper than building T2 mod each prime.  Each
+    trial draws a prime (uniformly below ``bound`` in ``random`` mode,
+    consecutively from 2 in ``consecutive`` mode), reduces the matrix, takes
+    the characteristic polynomial mod p, skips non-squarefree reductions (they
+    still count as trials), and classifies the pattern.  The search stops
+    once every required kind has a witness; ``max_trials`` (default 100 * d)
+    turns a stuck search into a loud :class:`SearchExhausted` rather than a
+    hang.
 
     Raises :class:`NothingToVerify` for weights with dim S_k = 0.
     """
@@ -248,15 +257,18 @@ def verify_weight(
 def check_certificate(cert: Certificate) -> CheckResult:
     """Independently recheck every claim in a certificate.
 
-    Rebuilds the T2 matrix for the certified weight and, at each recorded
-    witness prime only, recomputes the characteristic polynomial, the
-    pattern, and the classification.  Costs a handful of modular charpolys
-    instead of a search.
+    At each distinct recorded witness prime only, builds T2 mod p directly
+    and recomputes the characteristic polynomial, the pattern, and the
+    classification.  Costs a handful of modular charpolys instead of a
+    search, and no exact matrix.  The prime bound and every witness prime are
+    validated first; a prime that fails is reported and never built at.
     """
     reasons: list[str] = []
     d = dim_cusp_forms(cert.weight)
     if cert.dimension != d or d == 0:
         return CheckResult(False, (REASON_WRONG_DIMENSION,))
+    if not 3 <= cert.prime_bound <= MAX_MODULUS:
+        reasons.append(f"prime bound {cert.prime_bound} outside [3, 2^20]")
     if cert.vacuous != (d == 1):
         reasons.append("wrong vacuous flag")
     required = {PrimeType.I} if d == 1 else set(REQUIRED_TYPES)
@@ -267,20 +279,27 @@ def check_certificate(cert: Certificate) -> CheckResult:
             if kind in cert.witnesses:
                 reasons.append(f"vacuous certificate carries a kind {kind} witness")
 
-    matrix = hecke_matrix_T2(cert.weight)
+    valid: list[tuple[str, PrimeType, Witness]] = []
     for kind, witness in sorted(cert.witnesses.items(), key=lambda kv: kv[0].value):
         where = f"kind {kind} witness {witness.prime}"
         if not is_prime(witness.prime):
             reasons.append(f"{where}: composite")
-            continue
-        if not 2 <= witness.prime < cert.prime_bound:
+        elif witness.prime >= MAX_MODULUS:
+            reasons.append(f"{where}: not below 2^20")
+        elif not 2 <= witness.prime < cert.prime_bound:
             reasons.append(f"{where}: outside prime bound {cert.prime_bound}")
-            continue
-        fp = charpoly_mod_p(reduce_matrix(matrix, witness.prime))
-        if not is_squarefree(fp):
+        else:
+            valid.append((where, kind, witness))
+
+    patterns: dict[int, Pattern | None] = {}  # None: reduction not squarefree
+    for where, kind, witness in valid:
+        if witness.prime not in patterns:
+            fp = charpoly_mod_p(hecke_matrix_T2_mod_p(cert.weight, witness.prime))
+            patterns[witness.prime] = factorization_pattern(fp) if is_squarefree(fp) else None
+        pattern = patterns[witness.prime]
+        if pattern is None:
             reasons.append(f"{where}: {REASON_NON_SQUAREFREE}")
             continue
-        pattern = factorization_pattern(fp)
         if pattern != witness.pattern:
             reasons.append(f"{where}: {REASON_PATTERN_MISMATCH}")
             continue

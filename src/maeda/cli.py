@@ -303,7 +303,12 @@ def cmd_check(directory: Path) -> int:
             print(f"{path.name}: FAIL ({cert})")
             failures += 1
             continue
-        result = check_certificate(cert)
+        try:
+            result = check_certificate(cert)
+        except ValueError as exc:  # e.g. a weight too large to build a basis for
+            print(f"{path.name}: FAIL ({exc})")
+            failures += 1
+            continue
         if result:
             print(f"{path.name}: ok (k={cert.weight}, d={cert.dimension})")
         else:

@@ -13,14 +13,15 @@ The cap is enforced, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .hecke import IntMatrix
 from .patterns import Pattern
-from .primes import is_prime
+from .primes import MAX_MODULUS, check_modulus
 
-MAX_MODULUS = 1 << 20
+if TYPE_CHECKING:  # hecke builds ModMatrix values, so it imports this module
+    from .hecke import IntMatrix
 
 # Factorization patterns share their shape with permutation cycle patterns.
 FactorPattern = Pattern
@@ -38,13 +39,6 @@ __all__ = [
 ]
 
 
-def _check_modulus(p: int) -> None:
-    if not 2 <= p < MAX_MODULUS:
-        raise ValueError(f"modulus must satisfy 2 <= p < 2^20, got {p}")
-    if not is_prime(p):
-        raise ValueError(f"modulus must be prime, got {p}")
-
-
 @dataclass(frozen=True)
 class ModPoly:
     """Polynomial over F_p: residues in [0, p), lowest degree first, trimmed."""
@@ -53,7 +47,7 @@ class ModPoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_modulus(self.p)
+        check_modulus(self.p)
         reduced = tuple(int(c) % self.p for c in self.coeffs)
         while reduced and reduced[-1] == 0:
             reduced = reduced[:-1]
@@ -93,7 +87,7 @@ class ModMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_modulus(self.p)
+        check_modulus(self.p)
         e = np.asarray(self.entries, dtype=np.int64)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError("matrix must be square")
@@ -108,7 +102,7 @@ class ModMatrix:
 
 def reduce_matrix(M: IntMatrix, p: int) -> ModMatrix:
     """Entry-wise reduction of an integer matrix into [0, p)."""
-    _check_modulus(p)
+    check_modulus(p)
     d = M.d
     entries = np.fromiter(
         (e % p for row in M.rows for e in row), dtype=np.int64, count=d * d

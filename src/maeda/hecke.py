@@ -8,6 +8,13 @@ so once the Miller basis is known to 2d coefficients, the d x d matrix of T2
 is read off directly: row i holds the first d coefficients of T2 f_i, and the
 echelon shape of the basis means those coefficients *are* the coordinates.
 Everything stays in the integers; no division is ever performed.
+
+:func:`hecke_matrix_T2` is the exact integer matrix, whose big-integer build
+grows about as d^3.5.  The witness search reduces it at tens to hundreds of
+primes per weight, so it builds it once.  :func:`hecke_matrix_T2_mod_p` reads
+the same matrix mod p off :func:`~maeda.qseries.miller_basis_mod_p` in int64
+arithmetic; a certificate recheck, which needs only its few witness primes,
+uses that instead.
 """
 
 from __future__ import annotations
@@ -15,13 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .qseries import dim_cusp_forms, miller_basis, spanning_set
+from .ffpoly import ModMatrix
+from .qseries import dim_cusp_forms, miller_basis, miller_basis_mod_p, spanning_set
 
 __all__ = [
     "IntMatrix",
     "dim_cusp_forms",
     "hecke_coefficient",
     "hecke_matrix_T2",
+    "hecke_matrix_T2_mod_p",
     "hecke_matrix_T2_spanning",
     "charpoly_exact",
 ]
@@ -96,6 +105,21 @@ def hecke_matrix_T2(k: int) -> IntMatrix:
             for f in basis
         )
     )
+
+
+def hecke_matrix_T2_mod_p(k: int, p: int) -> ModMatrix:
+    """:func:`hecke_matrix_T2` reduced mod a prime p < 2^20, built mod p.
+
+    No big integer is formed: entry (i, n) is a_(2n) + 2^(k-1) a_(n/2) of
+    f_i mod p, the second term only for even n, read off the basis from
+    :func:`~maeda.qseries.miller_basis_mod_p`.  Equal to
+    ``reduce_matrix(hecke_matrix_T2(k), p)``.
+    """
+    basis = miller_basis_mod_p(k, p)
+    d = basis.shape[0]
+    entries = basis[:, 2 : 2 * d + 1 : 2].copy()
+    entries[:, 1::2] += pow(2, k - 1, p) * basis[:, 1 : d // 2 + 1]
+    return ModMatrix(p, entries % p)
 
 
 def hecke_matrix_T2_spanning(k: int) -> IntMatrix:

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import functools
+import itertools
+
+# Moduli for numpy arithmetic stay below this cap: a product of two residues
+# is below 2^40, so sums of fewer than 2^23 such products fit in int64.
+MAX_MODULUS = 1 << 20
 
 # Witnesses proving primality for every n < 3.3 * 10^24 (Sorenson-Webster).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -19,7 +24,7 @@ def sieve_primes(bound: int) -> tuple[int, ...]:
         if flags[p]:
             start = p * p
             flags[start::p] = bytes(len(range(start, bound, p)))
-    return tuple(i for i, f in enumerate(flags) if f)
+    return tuple(itertools.compress(range(bound), flags))
 
 
 def is_prime(n: int) -> bool:
@@ -45,6 +50,14 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def check_modulus(p: int) -> None:
+    """Raise ValueError unless p is a prime below :data:`MAX_MODULUS`."""
+    if not 2 <= p < MAX_MODULUS:
+        raise ValueError(f"modulus must satisfy 2 <= p < 2^20, got {p}")
+    if not is_prime(p):
+        raise ValueError(f"modulus must be prime, got {p}")
 
 
 def prime_count(bound: int) -> int:

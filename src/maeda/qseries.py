@@ -12,11 +12,25 @@ and the discriminant form Delta = q prod (1 - q^n)^24, which coincides with
 :func:`miller_basis` assembles the unique echelon basis f_1, ..., f_d of the
 weight-k cusp space, with f_i = q^i + O(q^(d+1)) and integer coefficients
 throughout: every pivot is 1, so no division is ever performed.
+
+:func:`miller_basis_mod_p` builds the same basis reduced modulo a prime
+p < 2^20 without any big integer: the generators come from a sigma-sieve and
+the pentagonal Euler product, and every product is an int64 convolution
+taken mod p.  Because the echelon basis is unique and its pivots are 1, the
+result is the exact basis reduced mod p.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
+
+import numpy as np
+
+from .primes import check_modulus
+
+# A truncated product of two residue series sums fewer than prec products,
+# each below 2^40, so it is exact in int64 while prec < 2^23.
+MAX_PREC_MOD_P = 1 << 23
 
 
 class PrecisionError(IndexError):
@@ -137,18 +151,19 @@ def series_pow(a: QSeries, e: int) -> QSeries:
     return result
 
 
+# (scale, power) with E_k = 1 + scale * sum sigma_power(n) q^n
+_EISENSTEIN = {4: (240, 3), 6: (-504, 5)}
+
+
 def eisenstein(k: int, prec: int) -> QSeries:
     """Normalized Eisenstein series E4 or E6 through ``prec`` coefficients.
 
     E4 = 1 + 240 sum sigma_3(n) q^n and E6 = 1 - 504 sum sigma_5(n) q^n,
     where sigma_j(n) sums the j-th powers of the divisors of n.
     """
-    if k == 4:
-        scale, power = 240, 3
-    elif k == 6:
-        scale, power = -504, 5
-    else:
+    if k not in _EISENSTEIN:
         raise ValueError(f"Eisenstein generator defined only for k in (4, 6), got {k}")
+    scale, power = _EISENSTEIN[k]
     if prec < 1:
         raise ValueError("precision must be positive")
     sigma = [0] * prec
@@ -251,6 +266,18 @@ def spanning_set(k: int, prec: int) -> list[QSeries]:
     return out
 
 
+def _basis_size(k: int, prec: int | None) -> tuple[int, int]:
+    # (d, prec) for a Miller basis of weight k, with the default precision
+    if k % 2 or k < 12:
+        raise ValueError(f"weight must be even and at least 12, got {k}")
+    d = dim_cusp_forms(k)
+    if prec is None:
+        prec = 2 * (d + 2) + 1
+    if prec < 2 * (d + 2):
+        raise ValueError(f"precision {prec} insufficient for weight {k} (need >= {2 * (d + 2)})")
+    return d, prec
+
+
 def miller_basis(k: int, prec: int | None = None) -> list[QSeries]:
     """Echelon basis f_1 .. f_d of the weight-k cusp space.
 
@@ -263,13 +290,7 @@ def miller_basis(k: int, prec: int | None = None) -> list[QSeries]:
     term past twice the dimension-plus-two window the Hecke action reads;
     anything below 2(d+2) is rejected as insufficient.
     """
-    if k % 2 or k < 12:
-        raise ValueError(f"weight must be even and at least 12, got {k}")
-    d = dim_cusp_forms(k)
-    if prec is None:
-        prec = 2 * (d + 2) + 1
-    if prec < 2 * (d + 2):
-        raise ValueError(f"precision {prec} insufficient for weight {k} (need >= {2 * (d + 2)})")
+    d, prec = _basis_size(k, prec)
     rows = [list(g.coeffs) for g in spanning_set(k, prec)]
     for i in range(d):
         fi = rows[i]
@@ -288,3 +309,82 @@ def miller_basis(k: int, prec: int | None = None) -> list[QSeries]:
                 f"echelon property failed at k={k}, basis element {i}, q^{j}"
             )
     return basis
+
+
+# ---------------------------------------------------------------------------
+# the same basis modulo a prime, in int64 numpy arrays of residues
+
+def _mul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    # truncated product of two residue series of equal length
+    return np.convolve(a, b)[: len(a)] % p
+
+
+def _pow_mod_p(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    result = np.zeros_like(a)
+    result[0] = 1
+    while e:
+        if e & 1:
+            result = _mul_mod_p(result, a, p)
+        e >>= 1
+        if e:
+            a = _mul_mod_p(a, a, p)
+    return result
+
+
+def _eisenstein_mod_p(k: int, prec: int, p: int) -> np.ndarray:
+    scale, power = _EISENSTEIN[k]
+    sigma = np.zeros(prec, dtype=np.int64)
+    for n in range(1, prec):
+        sigma[n::n] += pow(n, power, p)
+    out = scale * (sigma % p) % p
+    out[0] = 1
+    return out
+
+
+def _spanning_set_mod_p(k: int, d: int, prec: int, p: int) -> np.ndarray:
+    # rows Delta^i E6^b E4^(alpha_i) mod p, i = 1 .. d, as in spanning_set
+    b, alpha_d = _weight_exponents(k)
+    e4 = _eisenstein_mod_p(4, prec, p)
+    e4cube = _pow_mod_p(e4, 3, p)
+    dl = np.zeros(prec, dtype=np.int64)
+    eta = np.array(_euler_product(prec - 1).coeffs, dtype=np.int64) % p
+    dl[1:] = _pow_mod_p(eta, 24, p)
+    tail = _pow_mod_p(e4, alpha_d, p)
+    if b:
+        tail = _mul_mod_p(tail, _eisenstein_mod_p(6, prec, p), p)
+    # first the tails E6^b E4^(alpha_i): alpha_i grows by 3 per step down from i = d
+    rows = np.empty((d, prec), dtype=np.int64)
+    rows[d - 1] = tail
+    for i in range(d - 2, -1, -1):
+        rows[i] = _mul_mod_p(rows[i + 1], e4cube, p)
+    power = dl
+    for i in range(d):
+        if i:
+            power = _mul_mod_p(power, dl, p)
+        rows[i] = _mul_mod_p(power, rows[i], p)
+    return rows
+
+
+def miller_basis_mod_p(k: int, p: int, prec: int | None = None) -> np.ndarray:
+    """:func:`miller_basis` reduced mod a prime p < 2^20, with no big integer.
+
+    Returns a d x prec int64 array of residues in [0, p) whose row i-1 is
+    f_i mod p; ``prec`` has the same default and floor as in
+    :func:`miller_basis`.  The elimination runs bottom-up: f_d is the last
+    spanning product, and f_i is the i-th product minus its coefficients at
+    q^(i+1) .. q^d times the finished rows below, one vector-matrix product
+    per row.  Every pivot is 1, so nothing is divided.
+    """
+    check_modulus(p)
+    d, prec = _basis_size(k, prec)
+    if prec >= MAX_PREC_MOD_P:
+        raise ValueError(f"precision {prec} would overflow int64 sums (need < 2^23)")
+    if d == 0:
+        return np.zeros((0, prec), dtype=np.int64)
+    rows = _spanning_set_mod_p(k, d, prec, p)
+    for i in range(d - 2, -1, -1):
+        rows[i] = (rows[i] - rows[i, i + 2 : d + 1] @ rows[i + 1 :]) % p
+    assert np.array_equal(rows[:, 1 : d + 1], np.eye(d, dtype=np.int64)), (
+        f"echelon property failed at k={k} mod {p}"
+    )
+    return rows

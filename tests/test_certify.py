@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from maeda import certify
 from maeda.certify import (
     NothingToVerify,
     SearchExhausted,
@@ -244,6 +245,38 @@ def test_check_certificate_detects_composite_and_out_of_range():
     small = dataclasses.replace(cert, prime_bound=3)
     result = check_certificate(small)
     assert any("outside prime bound" in r for r in result.reasons)
+
+
+@pytest.fixture
+def built_primes(monkeypatch) -> list[int]:
+    """The primes at which check_certificate builds T2 mod p, in call order."""
+    built: list[int] = []
+    real_build = certify.hecke_matrix_T2_mod_p
+    monkeypatch.setattr(certify, "hecke_matrix_T2_mod_p",
+                        lambda k, p: built.append(p) or real_build(k, p))
+    return built
+
+
+def test_check_certificate_rejects_prime_bound_above_2_20(built_primes):
+    # a hand-edited bound lets a prime >= 2^20 through the bound check; it
+    # must become a FAIL reason, and no matrix may be built at that prime
+    cert = verify_weight(48, seed=9)
+    witnesses = dict(cert.witnesses)
+    witnesses[T.I] = dataclasses.replace(witnesses[T.I], prime=1048583)
+    bad = dataclasses.replace(cert, prime_bound=4194304, witnesses=witnesses)
+    result = check_certificate(bad)
+    assert not result
+    assert "prime bound 4194304 outside [3, 2^20]" in result.reasons
+    assert "kind I witness 1048583: not below 2^20" in result.reasons
+    assert built_primes and all(p < 1 << 20 for p in built_primes)
+
+
+def test_check_certificate_builds_once_per_distinct_prime(built_primes):
+    cert = verify_weight(48, seed=1)  # kinds III and IV share prime 298201
+    primes = [w.prime for w in cert.witnesses.values()]
+    assert len(set(primes)) < len(primes)
+    assert check_certificate(cert)
+    assert sorted(built_primes) == sorted(set(primes))
 
 
 def test_check_certificate_missing_witness():

@@ -182,6 +182,38 @@ def test_cmd_check_reports_malformed_file_but_continues(small_run, tmp_path, cap
     assert "cert_24.json: ok" in out and "cert_999.json: FAIL" in out
 
 
+def test_cmd_check_turns_check_error_into_fail_line(small_run, tmp_path, capsys):
+    # weight 50331648 passes every header check, but its basis would need
+    # 2^23 coefficients: the builder refuses it with a ValueError, which
+    # must fail that file alone
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    for k in (24, 36):
+        (mixed / f"cert_{k}.json").write_bytes(certificate_path(small_run, k).read_bytes())
+    blob = json.loads(certificate_path(small_run, 36).read_text())
+    k = 50331648
+    blob.update(weight=k, dimension=dim_cusp_forms(k))
+    (mixed / "cert_30.json").write_text(json.dumps(blob))
+    assert cmd_check(mixed) == 1
+    out = capsys.readouterr().out
+    assert "cert_24.json: ok" in out and "cert_36.json: ok" in out
+    assert "cert_30.json: FAIL (precision" in out
+    assert "2/3 certificates pass" in out
+
+
+def test_cmd_check_reports_prime_bound_above_2_20(small_run, tmp_path, capsys):
+    victim = tmp_path / "bound"
+    victim.mkdir()
+    blob = json.loads(certificate_path(small_run, 48).read_text())
+    blob["prime_bound"] = 4194304
+    blob["witnesses"]["I"]["prime"] = 1048583
+    (victim / "cert_48.json").write_text(json.dumps(blob))
+    assert cmd_check(victim) == 1
+    out = capsys.readouterr().out
+    assert "cert_48.json: FAIL (prime bound 4194304 outside [3, 2^20];" in out
+    assert "kind I witness 1048583: not below 2^20" in out
+
+
 def test_cmd_stats_outputs(small_run, tmp_path, capsys):
     stats_dir = tmp_path / "stats"
     assert cmd_stats(small_run, stats_dir) == 0

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from _oracles import charpoly_det_expansion
@@ -11,8 +12,11 @@ from maeda.hecke import (
     dim_cusp_forms,
     hecke_coefficient,
     hecke_matrix_T2,
+    hecke_matrix_T2_mod_p,
     hecke_matrix_T2_spanning,
 )
+from maeda.ffpoly import reduce_matrix
+from maeda.primes import sieve_primes
 from maeda.qseries import (
     PrecisionError,
     delta,
@@ -123,3 +127,29 @@ def test_charpoly_exact_against_det_expansion_oracle():
 def test_intmatrix_rejects_non_square():
     with pytest.raises(ValueError):
         IntMatrix(((1, 2), (3,)))
+
+
+MOD_P_WEIGHTS = [*range(12, 241, 2), 300, 400, 596, 600, 1200]
+
+
+@pytest.mark.parametrize("k", MOD_P_WEIGHTS)
+def test_t2_mod_p_matches_reduced_exact_matrix(k):
+    # differential: the int64 build against the big-integer build, reduced
+    exact = hecke_matrix_T2(k)
+    primes = [2, 3, 5, 7, 1048573, *random.Random(k).sample(sieve_primes(1 << 20), 3)]
+    for p in primes:
+        modp = hecke_matrix_T2_mod_p(k, p)
+        assert modp.p == p and modp.d == exact.d
+        assert np.array_equal(modp.entries, reduce_matrix(exact, p).entries), (k, p)
+
+
+@pytest.mark.parametrize("p", [1 << 20, 1048583, 4194319, 1, 9, 1048575])
+def test_t2_mod_p_rejects_large_or_composite_modulus(p):
+    with pytest.raises(ValueError):
+        hecke_matrix_T2_mod_p(48, p)
+
+
+def test_t2_mod_p_rejects_bad_weights():
+    for k in (13, 10, 0):
+        with pytest.raises(ValueError):
+            hecke_matrix_T2_mod_p(k, 5)

@@ -1,5 +1,6 @@
 """Series arithmetic, the standard generators, and the Miller basis."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,9 @@ from maeda.qseries import (
     delta,
     dim_cusp_forms,
     eisenstein,
+    MAX_PREC_MOD_P,
     miller_basis,
+    miller_basis_mod_p,
     one,
     series_add,
     series_mul,
@@ -159,3 +162,34 @@ def test_echelon_property_all_weights_to_300():
         for i, f in enumerate(basis, start=1):
             for j in range(1, d + 1):
                 assert f[j] == (1 if j == i else 0), (k, i, j)
+
+
+@pytest.mark.parametrize("k", [12, 24, 26, 50, 96, 144, 300])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 691, 1048573])
+def test_miller_basis_mod_p_is_exact_basis_reduced(k, p):
+    for prec in (None, 2 * (dim_cusp_forms(k) + 2) + 7):
+        exact = [[c % p for c in f.coeffs] for f in miller_basis(k, prec)]
+        modp = miller_basis_mod_p(k, p, prec)
+        assert modp.dtype == np.int64
+        assert modp.tolist() == exact, (k, p, prec)
+
+
+def test_miller_basis_mod_p_empty_space():
+    assert miller_basis_mod_p(14, 5).shape == (0, 5)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 15, 1 << 20, 1048583, -7])
+def test_miller_basis_mod_p_rejects_bad_modulus(p):
+    with pytest.raises(ValueError):
+        miller_basis_mod_p(24, p)
+
+
+def test_miller_basis_mod_p_rejects_bad_weight_and_precision():
+    with pytest.raises(ValueError):
+        miller_basis_mod_p(13, 5)
+    d = dim_cusp_forms(48)
+    with pytest.raises(ValueError):
+        miller_basis_mod_p(48, 5, prec=2 * (d + 2) - 1)
+    # refused before anything is allocated: int64 sums could overflow
+    with pytest.raises(ValueError, match="2\\^23"):
+        miller_basis_mod_p(48, 5, prec=MAX_PREC_MOD_P)
