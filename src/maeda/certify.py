@@ -56,6 +56,7 @@ __all__ = [
     "CheckResult",
     "NothingToVerify",
     "SearchExhausted",
+    "MAX_WEIGHT",
     "classify",
     "sample_prime",
     "verify_weight",
@@ -64,6 +65,10 @@ __all__ = [
 ]
 
 REQUIRED_TYPES = (PrimeType.I, PrimeType.II, PrimeType.III)
+
+# The paper's range.  ``check`` refuses certificates above it, since the cost
+# of building T2 grows about as d^3 and an absurd weight would run for months.
+MAX_WEIGHT = 14000
 
 REASON_WRONG_DIMENSION = "wrong dimension"
 REASON_PATTERN_MISMATCH = "pattern mismatch"
@@ -261,8 +266,11 @@ def check_certificate(cert: Certificate) -> CheckResult:
     and recomputes the characteristic polynomial, the pattern, and the
     classification.  Costs a handful of modular charpolys instead of a
     search, and no exact matrix.  The prime bound and every witness prime are
-    validated first; a prime that fails is reported and never built at.
+    validated first; a prime that fails is reported and never built at.  A
+    weight above :data:`MAX_WEIGHT` fails before anything is built.
     """
+    if cert.weight > MAX_WEIGHT:
+        return CheckResult(False, (f"weight {cert.weight} above {MAX_WEIGHT}",))
     reasons: list[str] = []
     d = dim_cusp_forms(cert.weight)
     if cert.dimension != d or d == 0:

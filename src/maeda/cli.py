@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .certify import (
+    MAX_WEIGHT,
     Certificate,
     SearchExhausted,
     Witness,
@@ -71,6 +72,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.k_min > self.k_max:
             raise ValueError(f"empty weight range [{self.k_min}, {self.k_max}]")
+        if self.k_max > MAX_WEIGHT:
+            raise ValueError(f"weights above {MAX_WEIGHT} are not supported, got {self.k_max}")
         if self.mode not in ("random", "consecutive"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 3 <= self.bound <= MAX_MODULUS:

@@ -1,17 +1,24 @@
 """Arithmetic over prime fields F_p with p < 2^20.
 
 Matrix reduction, characteristic polynomials, squarefreeness, and
-factorization patterns via distinct-degree splitting.  Polynomials are
-coefficient arrays, lowest degree first.
+factorization patterns via distinct-degree splitting with a Frobenius matrix
+and blocked gcds (von zur Gathen & Shoup, 1992; Kaltofen & Shoup, 1998).
+Polynomials are coefficient arrays, lowest degree first.
 
 The modulus cap p < 2^20 keeps every intermediate inside int64: a product of
-two residues stays below 2^40 and the convolution/dot sums here add fewer
-than 2^17 such products, so numpy integer arithmetic is exact throughout.
-The cap is enforced, not assumed.
+two residues stays below 2^40, and every convolution or dot-product sum here
+adds at most n such products, n the matrix size or polynomial degree.  That
+includes the Frobenius step h @ Q, n products below 2^40 each.  With
+n < 2^23 every sum stays below 2^63, so numpy integer arithmetic is exact
+throughout; an n x n int64 matrix with n >= 2^23 would take 512 TiB, so
+the degree bound holds for any matrix that exists.  The modulus cap is
+enforced, not assumed.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -160,27 +167,6 @@ def charpoly_mod_p(A: ModMatrix) -> ModPoly:
 # ---------------------------------------------------------------------------
 # raw-array polynomial helpers (trimmed int64 arrays, lowest degree first)
 
-def _trim(a: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(a)[0]
-    if nz.size == 0:
-        return a[:0]
-    return a[: int(nz[-1]) + 1]
-
-
-def _rem(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # remainder of a modulo b, b nonzero; inputs trimmed or zero-padded
-    db = len(b) - 1
-    if db == 0:
-        return a[:0]
-    binv = pow(int(b[-1]), p - 2, p)
-    r = a.copy()
-    for shift in range(len(r) - 1 - db, -1, -1):
-        t = int(r[shift + db]) * binv % p
-        if t:
-            r[shift : shift + db] = (r[shift : shift + db] - t * b[:db]) % p
-    return _trim(r[:db] if db <= len(r) else r)
-
-
 def _degree_scan(buf: np.ndarray, start: int) -> int:
     d = start
     while d >= 0 and not buf[d]:
@@ -276,8 +262,13 @@ def _powmod(a: np.ndarray, e: int, rows: np.ndarray, p: int) -> np.ndarray:
     return result
 
 
+@functools.lru_cache(maxsize=1)
 def is_squarefree(f: ModPoly) -> bool:
-    """True iff gcd(f, f') is constant, i.e. f has no repeated roots."""
+    """True iff gcd(f, f') is constant, i.e. f has no repeated roots.
+
+    The last answer is cached: a search tests f and then factors it, and the
+    factoring entry points test it again before splitting.
+    """
     if f.is_zero:
         raise ValueError("squarefreeness is undefined for the zero polynomial")
     a = np.array(f.coeffs, dtype=np.int64)
@@ -285,63 +276,93 @@ def is_squarefree(f: ModPoly) -> bool:
     return len(_gcd(a, da, f.p)) <= 1
 
 
-def distinct_degree_split(f: ModPoly) -> dict[int, ModPoly]:
-    """Split monic squarefree f into subproducts by irreducible-factor degree.
-
-    Returns {i: product of all irreducible factors of degree i}, each value
-    monic, the product of all values equal to f.  Round i takes
-    gcd(f_remaining, X^(p^i) - X), which collects exactly the degree-i
-    factors; once 2i exceeds the remaining degree, what is left is itself
-    irreducible.  The factors are never separated further: a factorization
-    *pattern* only needs their degrees.
-    """
-    p = f.p
+def _split(f: ModPoly) -> dict[int, np.ndarray]:
+    # {i: product of the degree-i irreducible factors of f}, as arrays
     if not f.is_monic:
         raise ValueError("distinct-degree splitting requires a monic polynomial")
     if not is_squarefree(f):
         raise ValueError("distinct-degree splitting requires a squarefree polynomial")
-    out: dict[int, ModPoly] = {}
-    fr = np.array(f.coeffs, dtype=np.int64)
-    deg = len(fr) - 1
-    if deg == 0:
-        return out
-    h = None  # X^(p^i) mod fr, fixed length deg(fr)
-    rows = None  # reduction table for fr, rebuilt only after a division
-    i = 0
-    while deg > 0:
-        i += 1
-        if 2 * i > deg:
-            out[deg] = ModPoly(p, tuple(int(c) for c in fr))
-            break
-        if h is None:
-            h = np.zeros(deg, dtype=np.int64)
-            h[1] = 1
-        if rows is None:
-            rows = _reduction_rows(fr, p)
-        h = _powmod(h, p, rows, p)
-        hx = h.copy()
-        hx[1] = (hx[1] - 1) % p
-        g = _gcd(fr, hx, p)
-        gdeg = len(g) - 1
-        if gdeg > 0:
-            assert gdeg % i == 0, "degree-i subproduct must have degree divisible by i"
-            out[i] = ModPoly(p, tuple(int(c) for c in g))
-            fr = _exact_div(fr, g, p)
-            deg = len(fr) - 1
-            rows = None
-            if deg >= 2:
-                reduced = _rem(h, fr, p)
-                h = np.zeros(deg, dtype=np.int64)
-                h[: len(reduced)] = reduced
+    p = f.p
+    fr = np.array(f.coeffs, dtype=np.int64)  # f with the factors found so far divided out
+    n = deg = len(fr) - 1
+    if n < 2:
+        return {n: fr} if n else {}
+    # everything below is reduced mod the original f, so the rows and Q are
+    # built once; h = X^(p^j) mod f is also X^(p^j) mod every factor fr of f
+    rows = _reduction_rows(fr, p)
+    h = np.zeros(n, dtype=np.int64)
+    h[1] = 1
+    xp = _powmod(h, p, rows, p)
+    frob = np.zeros((n, n), dtype=np.int64)  # Q: row r is X^(rp) mod f
+    frob[0, 0] = 1
+    frob[1] = xp
+    for r in range(2, n):
+        frob[r] = _mulmod(frob[r - 1], xp, rows, p)
+    one = np.zeros(n, dtype=np.int64)
+    one[0] = 1
+    block = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    out: dict[int, np.ndarray] = {}
+    j = 0  # every factor of degree <= j has been divided out of fr
+    while 2 * (j + 1) <= deg:
+        last = min(j + block, deg // 2)
+        diffs = []  # X^(p^i) - X mod f for i in j+1..last
+        prod = one
+        for _ in range(j, last):
+            h = h @ frob % p  # Frobenius is F_p-linear: h(X) -> h(X^p)
+            hx = h.copy()
+            hx[1] = (hx[1] - 1) % p
+            diffs.append(hx)
+            prod = _mulmod(prod, hx, rows, p)
+        g = _gcd(fr, prod, p)  # the factors of fr of degree j+1..last
+        for i, hx in enumerate(diffs, start=j + 1):
+            if len(g) - 1 < 2 * i:  # no factor of degree < i is left in g,
+                if len(g) > 1:  # so g is 1 or irreducible
+                    out[len(g) - 1] = g
+                    fr = _exact_div(fr, g, p)
+                break
+            gi = _gcd(g, hx, p)
+            if len(gi) > 1:
+                assert (len(gi) - 1) % i == 0, "degree-i subproduct must have degree divisible by i"
+                out[i] = gi
+                fr = _exact_div(fr, gi, p)
+                g = _exact_div(g, gi, p)
+        deg = len(fr) - 1
+        j = last
+    if deg > 0:  # no factor of degree <= j is left and deg < 2(j+1): irreducible
+        out[deg] = fr
     return out
+
+
+def distinct_degree_split(f: ModPoly) -> dict[int, ModPoly]:
+    """Split monic squarefree f into subproducts by irreducible-factor degree.
+
+    Returns {i: product of all irreducible factors of degree i}, each value
+    monic, the product of all values equal to f.  Raises ValueError on input
+    that is not monic or not squarefree.
+
+    gcd(f, X^(p^i) - X) is the product of the factors whose degree divides i.
+    The powers X^(p^i) mod f come from the Frobenius matrix Q, whose row r is
+    X^(rp) mod f: Frobenius is F_p-linear, so each round is one
+    vector-matrix product h -> h Q instead of a modular exponentiation (von
+    zur Gathen & Shoup, "Computing Frobenius maps and factoring polynomials",
+    1992).  The rounds are taken in blocks of ceil(sqrt(deg f)), and the
+    products of X^(p^i) - X over a block share one gcd with what remains of
+    f; only a block whose gcd is non-trivial is refined round by round
+    (the baby-step/giant-step blocking of Kaltofen & Shoup, "Subquadratic-time
+    factoring of polynomials over finite fields", 1998).  Once 2(i+1) exceeds
+    the remaining degree, what is left is itself irreducible.  The factors
+    are never separated further: a factorization *pattern* only needs their
+    degrees.
+    """
+    return {i: ModPoly(f.p, tuple(g.tolist())) for i, g in _split(f).items()}
 
 
 def factorization_pattern(f: ModPoly) -> Pattern:
     """Factorization pattern of a monic squarefree f over F_p.
 
     The multiset {degree: count} of its irreducible factors, computed by
-    distinct-degree splitting alone; raises ValueError on non-squarefree
-    input, where the pattern would be ill-defined.
+    distinct-degree splitting alone (see :func:`distinct_degree_split`);
+    raises ValueError on non-squarefree input, where the pattern would be
+    ill-defined.
     """
-    split = distinct_degree_split(f)
-    return Pattern.from_pairs((i, g.degree // i) for i, g in split.items())
+    return Pattern.from_pairs((i, (len(g) - 1) // i) for i, g in _split(f).items())

@@ -7,6 +7,7 @@ import pytest
 
 from maeda import certify
 from maeda.certify import (
+    MAX_WEIGHT,
     NothingToVerify,
     SearchExhausted,
     Witness,
@@ -17,7 +18,7 @@ from maeda.certify import (
     verify_weight,
 )
 from maeda.ffpoly import charpoly_mod_p, factorization_pattern, is_squarefree, reduce_matrix
-from maeda.hecke import hecke_matrix_T2
+from maeda.hecke import dim_cusp_forms, hecke_matrix_T2
 from maeda.patterns import Pattern, PrimeType
 from maeda.primes import is_prime, prime_count, sieve_primes
 
@@ -277,6 +278,17 @@ def test_check_certificate_builds_once_per_distinct_prime(built_primes):
     assert len(set(primes)) < len(primes)
     assert check_certificate(cert)
     assert sorted(built_primes) == sorted(set(primes))
+
+
+def test_check_certificate_refuses_weight_above_max(built_primes):
+    # a header consistent with an absurd weight must not start a build
+    cert = verify_weight(48, seed=9)
+    k = 10**6
+    bad = dataclasses.replace(cert, weight=k, dimension=dim_cusp_forms(k))
+    result = check_certificate(bad)
+    assert not result
+    assert result.reasons == (f"weight {k} above {MAX_WEIGHT}",)
+    assert built_primes == []
 
 
 def test_check_certificate_missing_witness():

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from maeda.certify import verify_weight
+from maeda import certify
+from maeda.certify import MAX_WEIGHT, verify_weight
 from maeda.hecke import dim_cusp_forms
 from maeda.cli import (
     RunConfig,
@@ -139,6 +140,8 @@ def test_cmd_verify_rejects_bad_config(tmp_path, capsys):
     assert cmd_verify(RunConfig(k_min=12, k_max=24, out_dir=tmp_path, jobs=0)) == 2
     assert cmd_verify(RunConfig(k_min=12, k_max=24, out_dir=tmp_path,
                                 bound=2**21)) == 2
+    assert cmd_verify(RunConfig(k_min=12, k_max=MAX_WEIGHT + 2, out_dir=tmp_path)) == 2
+    RunConfig(k_min=MAX_WEIGHT, k_max=MAX_WEIGHT, out_dir=tmp_path).validate()
     capsys.readouterr()
 
 
@@ -182,10 +185,11 @@ def test_cmd_check_reports_malformed_file_but_continues(small_run, tmp_path, cap
     assert "cert_24.json: ok" in out and "cert_999.json: FAIL" in out
 
 
-def test_cmd_check_turns_check_error_into_fail_line(small_run, tmp_path, capsys):
-    # weight 50331648 passes every header check, but its basis would need
-    # 2^23 coefficients: the builder refuses it with a ValueError, which
-    # must fail that file alone
+def test_cmd_check_turns_check_error_into_fail_line(small_run, tmp_path, capsys, monkeypatch):
+    # with the weight cap lifted, weight 50331648 passes every header check,
+    # but its basis would need 2^23 coefficients: the builder refuses it with
+    # a ValueError, which must fail that file alone
+    monkeypatch.setattr(certify, "MAX_WEIGHT", 1 << 62)
     mixed = tmp_path / "mixed"
     mixed.mkdir()
     for k in (24, 36):
@@ -212,6 +216,18 @@ def test_cmd_check_reports_prime_bound_above_2_20(small_run, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "cert_48.json: FAIL (prime bound 4194304 outside [3, 2^20];" in out
     assert "kind I witness 1048583: not below 2^20" in out
+
+
+def test_cmd_check_refuses_weight_above_max(small_run, tmp_path, capsys):
+    victim = tmp_path / "huge"
+    victim.mkdir()
+    blob = json.loads(certificate_path(small_run, 48).read_text())
+    blob["weight"] = 10**6
+    blob["dimension"] = dim_cusp_forms(10**6)
+    (victim / "cert_1000000.json").write_text(json.dumps(blob))
+    assert cmd_check(victim) == 1
+    out = capsys.readouterr().out
+    assert f"cert_1000000.json: FAIL (weight 1000000 above {MAX_WEIGHT})" in out
 
 
 def test_cmd_stats_outputs(small_run, tmp_path, capsys):

@@ -4,8 +4,11 @@ import random
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
 from _oracles import charpoly_det_expansion, poly_mul, trial_factor_pattern
 from maeda.ffpoly import (
@@ -18,7 +21,7 @@ from maeda.ffpoly import (
     is_squarefree,
     reduce_matrix,
 )
-from maeda.hecke import IntMatrix, charpoly_exact, hecke_matrix_T2
+from maeda.hecke import IntMatrix, charpoly_exact, hecke_matrix_T2, hecke_matrix_T2_mod_p
 from maeda.patterns import Pattern
 from maeda.primes import sieve_primes
 
@@ -135,6 +138,10 @@ def test_factorization_pattern_examples(p, coeffs, expected):
 def test_factorization_pattern_rejects_non_squarefree():
     with pytest.raises(ValueError):
         factorization_pattern(ModPoly(2, (1, 0, 1)))
+    square = ModPoly(5, (4, 4, 1))  # (X+2)^2, its answer cached by the first call
+    assert not is_squarefree(square)
+    with pytest.raises(ValueError):
+        factorization_pattern(square)
     with pytest.raises(ValueError):
         distinct_degree_split(ModPoly(5, (1, 3)))  # leading coefficient 3
 
@@ -189,3 +196,138 @@ def test_pattern_degree_sum_and_multiply_back(p, tail):
     for g in split.values():
         product = poly_mul(product, list(g.coeffs), p)
     assert tuple(product) == f.coeffs
+
+
+# ---------------------------------------------------------------------------
+# sympy as an independent factorization oracle
+
+def sympy_factor_degrees(coeffs, p: int) -> list[tuple[int, int]]:
+    """(degree, multiplicity) of each irreducible factor, by sympy over F_p."""
+    poly = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("X"), modulus=p)
+    return sorted((g.degree(), m) for g, m in poly.factor_list()[1])
+
+
+def _mobius(n: int) -> int:
+    result, q = 1, 2
+    while q * q <= n:
+        if n % q == 0:
+            n //= q
+            if n % q == 0:
+                return 0
+            result = -result
+        q += 1
+    return -result if n > 1 else result
+
+
+def irreducible_count(p: int, m: int) -> int:
+    """Number of monic irreducibles of degree m over F_p (Gauss's formula)."""
+    return sum(_mobius(e) * p ** (m // e) for e in range(1, m + 1) if m % e == 0) // m
+
+
+def planted_polynomial(rng: random.Random, p: int, shape) -> tuple[list[int], list[list[int]]]:
+    """Product of distinct random monic irreducibles of the given degrees.
+
+    Returns the product and the factors, lowest degree first; each factor
+    is certified irreducible by sympy.  Degrees with more factors than F_p
+    has irreducibles of that degree must not be asked for.
+    """
+    factors: list[list[int]] = []
+    for m in shape:
+        while True:
+            high_first = [1] + [rng.randrange(p) for _ in range(m)]
+            low_first = high_first[::-1]
+            if low_first not in factors and gf_irreducible_p(high_first, p, ZZ):
+                break
+        factors.append(low_first)
+    product = [1]
+    for g in factors:
+        product = poly_mul(product, g, p)
+    return product, factors
+
+
+def check_planted(rng: random.Random, p: int, shape) -> None:
+    product, factors = planted_polynomial(rng, p, shape)
+    f = ModPoly(p, tuple(product))
+    expected = Pattern.from_lengths(shape)
+    assert factorization_pattern(f) == expected, (p, shape)
+    assert sympy_factor_degrees(product, p) == sorted((m, 1) for m in shape)
+    split = distinct_degree_split(f)
+    assert sorted(split) == sorted(set(shape))
+    multiplied = [1]
+    for i, g in split.items():
+        assert g.is_monic and g.degree % i == 0
+        planted_i = [1]
+        for h in factors:
+            if len(h) - 1 == i:
+                planted_i = poly_mul(planted_i, h, p)
+        assert list(g.coeffs) == planted_i, (p, shape, i)
+        multiplied = poly_mul(multiplied, list(g.coeffs), p)
+    assert tuple(multiplied) == f.coeffs
+
+
+@st.composite
+def planted_shapes(draw, min_degree: int = 1):
+    """A prime and factor degrees, each at most 20, summing to at least
+    min_degree; the drawn part sums to at most 64, and the rest is topped up
+    with the largest degrees F_p still has irreducibles for."""
+    p = draw(st.sampled_from([2, 3, 5, 13, 101, 997, 1048573]))
+    shape: list[int] = []
+    for m in draw(st.lists(st.integers(1, 20), min_size=1, max_size=12)):
+        if sum(shape) + m <= 64 and shape.count(m) < irreducible_count(p, m):
+            shape.append(m)
+    m = 20
+    while sum(shape) < min_degree:
+        if shape.count(m) < irreducible_count(p, m):
+            shape.append(m)
+        else:
+            m -= 1
+    return p, shape
+
+
+@pytest.mark.parametrize("k", [300, 600, 1200])  # d = 25, 50, 100
+def test_pattern_matches_sympy_on_T2_reductions(k):
+    rng = random.Random(k)
+    primes = sieve_primes(MAX_MODULUS)
+    checked = 0
+    for p in [2, 3, 5, 7] + [primes[rng.randrange(len(primes))] for _ in range(4)]:
+        fp = charpoly_mod_p(hecke_matrix_T2_mod_p(k, p))
+        # squarefreeness from the multiplicities: sympy's Poly.is_sqf calls
+        # X^50 over F_2 squarefree
+        factors = sympy_factor_degrees(fp.coeffs, p)
+        squarefree = all(m == 1 for _, m in factors)
+        assert is_squarefree(fp) is squarefree, (k, p)
+        if not squarefree:
+            with pytest.raises(ValueError):
+                factorization_pattern(fp)
+            continue
+        assert factorization_pattern(fp) == Pattern.from_lengths(m for m, _ in factors), (k, p)
+        checked += 1
+    assert checked >= 3
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (8, 9, 16, 17, 10),  # degree 60, blocks of 8 rounds: 8|9 and 16|17 straddle
+        (8, 8, 9, 9, 1, 1, 2, 22),  # several factors of one degree, either side
+        (7,) * 8 + (4,),  # eight factors of one degree
+        (30, 30),  # two factors of half the degree, found in the last round
+        (29, 31),  # the larger one is left over after the last round
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 11),  # one factor in nearly every round
+    ],
+)
+@pytest.mark.parametrize("p", [3, 1048573])
+def test_split_planted_shapes_at_block_boundaries(p, shape):
+    check_planted(random.Random(sum(shape) + p), p, shape)
+
+
+@settings(max_examples=25, deadline=None)
+@given(planted=planted_shapes(), seed=st.integers(0, 2**32))
+def test_pattern_matches_planted_shape_and_sympy(planted, seed):
+    check_planted(random.Random(seed), *planted)
+
+
+@settings(max_examples=15, deadline=None)
+@given(planted=planted_shapes(min_degree=60), seed=st.integers(0, 2**32))
+def test_split_multiply_back_at_degree_60(planted, seed):
+    check_planted(random.Random(seed), *planted)
