@@ -24,11 +24,11 @@ print(f"weight {K}, dim S_{K} = {d}\n")
 print(f"{'p':>8}  {'squarefree':>10}  {'pattern':>22}  kinds")
 
 for p in (2, 3, 5, 7, 11, 101, 4099, 65537, 524287, 1048573):
-    fp = charpoly_mod_p(reduce_matrix(matrix, p))
-    if not is_squarefree(fp):
+    fp = charpoly_mod_p(reduce_matrix(matrix, p), p)
+    if not is_squarefree(fp, p):
         print(f"{p:>8}  {'no':>10}  {'-':>22}  (divides the discriminant)")
         continue
-    pattern = factorization_pattern(fp)
+    pattern = factorization_pattern(fp, p)
     kinds = classify(pattern, d)
     names = ", ".join(sorted(k.value for k in kinds)) or "-"
     print(f"{p:>8}  {'yes':>10}  {str(pattern):>22}  {names}")

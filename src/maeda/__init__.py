@@ -46,9 +46,6 @@ from .density import (
 )
 from .ffpoly import (
     MAX_MODULUS,
-    FactorPattern,
-    ModMatrix,
-    ModPoly,
     charpoly_mod_p,
     distinct_degree_split,
     factorization_pattern,

@@ -56,7 +56,10 @@ __all__ = [
     "CheckResult",
     "NothingToVerify",
     "SearchExhausted",
+    "MODES",
+    "REQUIRED_KINDS",
     "MAX_WEIGHT",
+    "rule_errors",
     "classify",
     "sample_prime",
     "verify_weight",
@@ -64,7 +67,10 @@ __all__ = [
     "covered_index",
 ]
 
-REQUIRED_TYPES = (PrimeType.I, PrimeType.II, PrimeType.III)
+MODES = ("random", "consecutive")
+
+# The kinds a certificate needs, and for which it records trial totals.
+REQUIRED_KINDS = (PrimeType.I, PrimeType.II, PrimeType.III)
 
 # The paper's range.  ``check`` refuses certificates above it, since the cost
 # of building T2 grows about as d^3 and an absurd weight would run for months.
@@ -137,6 +143,32 @@ class CheckResult:
         return self.ok
 
 
+def rule_errors(weight: int, mode: str, bound: int) -> dict[str, str]:
+    """{"weight" | "bound" | "mode": reason} for each rule that is broken.
+
+    The one definition of each rule: weight at most :data:`MAX_WEIGHT`, prime
+    bound in [3, 2^20], mode one of :data:`MODES`.
+    """
+    rules = {
+        "weight": (weight <= MAX_WEIGHT, f"weight {weight} above {MAX_WEIGHT}"),
+        "bound": (3 <= bound <= MAX_MODULUS, f"prime bound {bound} outside [3, 2^20]"),
+        "mode": (mode in MODES, f"unknown mode {mode!r}"),
+    }
+    return {name: reason for name, (ok, reason) in rules.items() if not ok}
+
+
+def _required(d: int) -> set[PrimeType]:
+    # a linear charpoly needs only kind I; II and III hold vacuously
+    return {PrimeType.I} if d == 1 else set(REQUIRED_KINDS)
+
+
+def _trials_total(witnesses: Mapping[PrimeType, Witness]) -> dict[PrimeType, int]:
+    return {
+        kind: witnesses[kind].trial if kind in witnesses else 0
+        for kind in REQUIRED_KINDS
+    }
+
+
 def classify(pattern: Pattern, d: int) -> set[PrimeType]:
     """Kinds witnessed by a squarefree factorization pattern of degree d.
 
@@ -165,8 +197,6 @@ def sample_prime(rng: random.Random, bound: int) -> int:
     All primes below the bound are sieved once (and cached) and indexed
     uniformly, so each is drawn with probability exactly 1/pi(bound).
     """
-    if bound < 3:
-        raise ValueError("bound must be at least 3")
     primes = sieve_primes(bound)
     if not primes:
         raise ValueError(f"no primes below {bound}")
@@ -199,20 +229,20 @@ def verify_weight(
     turns a stuck search into a loud :class:`SearchExhausted` rather than a
     hang.
 
-    Raises :class:`NothingToVerify` for weights with dim S_k = 0.
+    Raises :class:`NothingToVerify` for weights with dim S_k = 0, and
+    ValueError where k, mode or bound break a rule of :func:`rule_errors`.
     """
     started = time.perf_counter()
-    if mode not in ("random", "consecutive"):
-        raise ValueError(f"mode must be 'random' or 'consecutive', got {mode!r}")
-    if not 3 <= bound <= MAX_MODULUS:
-        raise ValueError(f"prime bound must be in [3, 2^20], got {bound}")
+    errors = rule_errors(k, mode, bound)
+    if errors:
+        raise ValueError("; ".join(errors.values()))
     d = dim_cusp_forms(k)
     if d == 0:
         raise NothingToVerify(f"dim S_{k} = 0, nothing to verify")
     if max_trials is None:
         max_trials = 100 * d
     matrix = hecke_matrix_T2(k)
-    required = {PrimeType.I} if d == 1 else set(REQUIRED_TYPES)
+    required = _required(d)
 
     if mode == "random":
         rng = random.Random(_weight_seed(seed, k))
@@ -233,18 +263,14 @@ def verify_weight(
             p = consecutive[trials - 1]
         else:  # consecutive mode ran out of primes below the bound
             raise SearchExhausted(k, trials - 1, required - witnesses.keys(), witnesses)
-        fp = charpoly_mod_p(reduce_matrix(matrix, p))
-        if not is_squarefree(fp):
+        fp = charpoly_mod_p(reduce_matrix(matrix, p), p)
+        if not is_squarefree(fp, p):
             continue
-        pattern = factorization_pattern(fp)
+        pattern = factorization_pattern(fp, p)
         for kind in classify(pattern, d):
             if kind not in witnesses:
                 witnesses[kind] = Witness(p, pattern, trials)
 
-    trials_total = {
-        kind: witnesses[kind].trial if kind in witnesses else 0
-        for kind in REQUIRED_TYPES
-    }
     duration_ms = round((time.perf_counter() - started) * 1000)
     return Certificate(
         weight=k,
@@ -254,7 +280,7 @@ def verify_weight(
         prime_bound=bound,
         vacuous=(d == 1),
         witnesses=dict(sorted(witnesses.items(), key=lambda kv: kv[0].value)),
-        trials_total=trials_total,
+        trials_total=_trials_total(witnesses),
         duration_ms=duration_ms,
     )
 
@@ -265,35 +291,41 @@ def check_certificate(cert: Certificate) -> CheckResult:
     At each distinct recorded witness prime only, builds T2 mod p directly
     and recomputes the characteristic polynomial, the pattern, and the
     classification.  Costs a handful of modular charpolys instead of a
-    search, and no exact matrix.  The prime bound and every witness prime are
-    validated first; a prime that fails is reported and never built at.  A
-    weight above :data:`MAX_WEIGHT` fails before anything is built.
+    search, and no exact matrix.  The header is checked against
+    :func:`rule_errors` (a weight above :data:`MAX_WEIGHT` fails at once),
+    the seed against the mode, and the trial totals against the witnesses.
+    Every witness prime is validated before any build; a prime that fails is
+    reported and never built at.
     """
-    if cert.weight > MAX_WEIGHT:
-        return CheckResult(False, (f"weight {cert.weight} above {MAX_WEIGHT}",))
-    reasons: list[str] = []
+    errors = rule_errors(cert.weight, cert.mode, cert.prime_bound)
+    if "weight" in errors:
+        return CheckResult(False, (errors["weight"],))
     d = dim_cusp_forms(cert.weight)
     if cert.dimension != d or d == 0:
         return CheckResult(False, (REASON_WRONG_DIMENSION,))
-    if not 3 <= cert.prime_bound <= MAX_MODULUS:
-        reasons.append(f"prime bound {cert.prime_bound} outside [3, 2^20]")
+    reasons = list(errors.values())
+    if (cert.seed is None) != (cert.mode == "consecutive"):
+        reasons.append(f"seed {cert.seed} does not fit mode {cert.mode!r}")
     if cert.vacuous != (d == 1):
         reasons.append("wrong vacuous flag")
-    required = {PrimeType.I} if d == 1 else set(REQUIRED_TYPES)
-    for kind in sorted(required - cert.witnesses.keys(), key=lambda t: t.value):
+    for kind in sorted(_required(d) - cert.witnesses.keys(), key=lambda t: t.value):
         reasons.append(f"missing witness for kind {kind}")
     if d == 1:
         for kind in (PrimeType.II, PrimeType.III):
             if kind in cert.witnesses:
                 reasons.append(f"vacuous certificate carries a kind {kind} witness")
+    if dict(cert.trials_total) != _trials_total(cert.witnesses):
+        reasons.append("trials_total does not match the witness trials")
 
     valid: list[tuple[str, PrimeType, Witness]] = []
     for kind, witness in sorted(cert.witnesses.items(), key=lambda kv: kv[0].value):
         where = f"kind {kind} witness {witness.prime}"
-        if not is_prime(witness.prime):
-            reasons.append(f"{where}: composite")
-        elif witness.prime >= MAX_MODULUS:
+        if witness.trial < 1:
+            reasons.append(f"{where}: trial {witness.trial} below 1")
+        if witness.prime >= MAX_MODULUS:  # before is_prime, slow on huge numbers
             reasons.append(f"{where}: not below 2^20")
+        elif not is_prime(witness.prime):
+            reasons.append(f"{where}: composite")
         elif not 2 <= witness.prime < cert.prime_bound:
             reasons.append(f"{where}: outside prime bound {cert.prime_bound}")
         else:
@@ -301,10 +333,11 @@ def check_certificate(cert: Certificate) -> CheckResult:
 
     patterns: dict[int, Pattern | None] = {}  # None: reduction not squarefree
     for where, kind, witness in valid:
-        if witness.prime not in patterns:
-            fp = charpoly_mod_p(hecke_matrix_T2_mod_p(cert.weight, witness.prime))
-            patterns[witness.prime] = factorization_pattern(fp) if is_squarefree(fp) else None
-        pattern = patterns[witness.prime]
+        p = witness.prime
+        if p not in patterns:
+            fp = charpoly_mod_p(hecke_matrix_T2_mod_p(cert.weight, p), p)
+            patterns[p] = factorization_pattern(fp, p) if is_squarefree(fp, p) else None
+        pattern = patterns[p]
         if pattern is None:
             reasons.append(f"{where}: {REASON_NON_SQUAREFREE}")
             continue

@@ -35,14 +35,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .certify import (
-    MAX_WEIGHT,
+    MODES,
+    REQUIRED_KINDS,
     Certificate,
     SearchExhausted,
     Witness,
     check_certificate,
+    rule_errors,
     verify_weight,
 )
 from .density import density_report, expected_trials
@@ -52,8 +54,6 @@ from .patterns import Pattern, PrimeType
 
 SCHEMA_VERSION = 1
 CERT_PREFIX = "cert_"
-REQUIRED = (PrimeType.I, PrimeType.II, PrimeType.III)
-ALL_KINDS = (PrimeType.I, PrimeType.II, PrimeType.III, PrimeType.IV)
 
 
 @dataclass
@@ -72,12 +72,9 @@ class RunConfig:
     def validate(self) -> None:
         if self.k_min > self.k_max:
             raise ValueError(f"empty weight range [{self.k_min}, {self.k_max}]")
-        if self.k_max > MAX_WEIGHT:
-            raise ValueError(f"weights above {MAX_WEIGHT} are not supported, got {self.k_max}")
-        if self.mode not in ("random", "consecutive"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if not 3 <= self.bound <= MAX_MODULUS:
-            raise ValueError(f"prime bound must be in [3, 2^20], got {self.bound}")
+        errors = rule_errors(self.k_max, self.mode, self.bound)
+        if errors:
+            raise ValueError("; ".join(errors.values()))
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
 
@@ -92,7 +89,7 @@ class RunConfig:
 def certificate_to_json(cert: Certificate) -> str:
     """Canonical JSON text for a certificate (stable key and pattern order)."""
     witnesses = {}
-    for kind in ALL_KINDS:
+    for kind in PrimeType:
         w = cert.witnesses.get(kind)
         if w is not None:
             witnesses[kind.value] = {
@@ -108,7 +105,7 @@ def certificate_to_json(cert: Certificate) -> str:
         "prime_bound": cert.prime_bound,
         "vacuous": cert.vacuous,
         "witnesses": witnesses,
-        "trials_total": {k.value: cert.trials_total.get(k, 0) for k in REQUIRED},
+        "trials_total": {k.value: cert.trials_total.get(k, 0) for k in REQUIRED_KINDS},
         "duration_ms": cert.duration_ms,
         "schema_version": SCHEMA_VERSION,
     }
@@ -118,41 +115,54 @@ def certificate_to_json(cert: Certificate) -> str:
     return text + "\n"
 
 
+def _get(obj: dict, key: str, *types: type):
+    # obj[key], which must be exactly one of the JSON types given: a bool is
+    # no int here, and a float (even 1e400) is no weight
+    value = obj[key]
+    if type(value) not in types:
+        raise ValueError(f"{key} must be {' or '.join(t.__name__ for t in types)}")
+    return value
+
+
+def _pattern(pairs: list) -> Pattern:
+    if not all(
+        type(pair) is list and len(pair) == 2 and all(type(n) is int for n in pair)
+        for pair in pairs
+    ):
+        raise ValueError("pattern must be a list of [length, multiplicity] integer pairs")
+    return Pattern.from_pairs(pairs)
+
+
 def certificate_from_json(text: str) -> Certificate:
     """Parse certificate JSON; raises ValueError on malformed input."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ValueError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError("certificate must be a JSON object")
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {payload.get('schema_version')!r}")
+    version = payload.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {version!r}")
     try:
+        totals = _get(payload, "trials_total", dict)
         witnesses = {}
-        for name, blob in payload["witnesses"].items():
-            kind = PrimeType(name)
-            witnesses[kind] = Witness(
-                prime=int(blob["prime"]),
-                pattern=Pattern.from_pairs(
-                    (int(a), int(b)) for a, b in blob["pattern"]
-                ),
-                trial=int(blob["trial"]),
+        for name, blob in _get(payload, "witnesses", dict).items():
+            witnesses[PrimeType(name)] = Witness(
+                prime=_get(blob, "prime", int),
+                pattern=_pattern(_get(blob, "pattern", list)),
+                trial=_get(blob, "trial", int),
             )
-        seed = payload["seed"]
         return Certificate(
-            weight=int(payload["weight"]),
-            dimension=int(payload["dimension"]),
-            mode=str(payload["mode"]),
-            seed=None if seed is None else int(seed),
-            prime_bound=int(payload["prime_bound"]),
-            vacuous=bool(payload["vacuous"]),
+            weight=_get(payload, "weight", int),
+            dimension=_get(payload, "dimension", int),
+            mode=_get(payload, "mode", str),
+            seed=_get(payload, "seed", int, type(None)),
+            prime_bound=_get(payload, "prime_bound", int),
+            vacuous=_get(payload, "vacuous", bool),
             witnesses=witnesses,
-            trials_total={
-                PrimeType(name): int(v)
-                for name, v in payload["trials_total"].items()
-            },
-            duration_ms=int(payload["duration_ms"]),
+            trials_total={PrimeType(name): _get(totals, name, int) for name in totals},
+            duration_ms=_get(payload, "duration_ms", int),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed certificate: {exc}") from exc
@@ -163,7 +173,16 @@ def certificate_path(out_dir: Path, weight: int) -> Path:
 
 
 def write_certificate(path: Path, cert: Certificate) -> None:
-    Path(path).write_text(certificate_to_json(cert), encoding="utf-8")
+    """Write atomically: to a temporary file beside ``path`` that never
+    matches ``cert_*.json``, then renamed over it, so no reader sees a part."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(certificate_to_json(cert), encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_certificate(path: Path) -> Certificate:
@@ -224,6 +243,15 @@ def _verify_task(args: tuple[int, str, int, int, str, bool]) -> dict:
     return row
 
 
+def _run_tasks(tasks: list[tuple], jobs: int) -> Iterator[dict]:
+    # rows in task (weight) order, each as soon as it and those before it are done
+    if jobs == 1:
+        yield from map(_verify_task, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(_verify_task, tasks)
+
+
 def cmd_verify(config: RunConfig) -> int:
     """Certify a weight range; certificates plus summary.csv in the out dir."""
     try:
@@ -238,15 +266,11 @@ def cmd_verify(config: RunConfig) -> int:
         (k, config.mode, config.seed, config.bound, str(config.out_dir), config.resume)
         for k in config.weights()
     ]
+    rows = []
     try:
-        if config.jobs > 1:
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                rows = list(pool.map(_verify_task, tasks))
-        else:
-            rows = [_verify_task(t) for t in tasks]
-        rows.sort(key=lambda r: r["weight"])
-        for row in rows:
-            print(_describe_row(row))
+        for row in _run_tasks(tasks, config.jobs):
+            print(_describe_row(row), flush=True)  # progress: one row per weight done
+            rows.append(row)
         _write_summary(config.out_dir / "summary.csv", rows)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -350,7 +374,7 @@ def ratio_rows(certs: Iterable[Certificate]) -> list[RatioRow]:
     for cert in certs:
         if cert.dimension < 2:
             continue
-        for kind in REQUIRED:
+        for kind in REQUIRED_KINDS:
             witness = cert.witnesses.get(kind)
             if witness is None:
                 continue
@@ -417,7 +441,7 @@ def cmd_stats(directory: Path, out_dir: Path | None = None) -> int:
             for r in rows:
                 writer.writerow([r.weight, r.dimension, r.mode, r.kind.value,
                                  r.trials, f"{r.expected:.6f}", f"{r.ratio:.6f}"])
-        for kind in REQUIRED:
+        for kind in REQUIRED_KINDS:
             with open(out_dir / f"histogram_{kind.value}.csv", "w", newline="",
                       encoding="utf-8") as fh:
                 writer = csv.writer(fh)
@@ -432,7 +456,7 @@ def cmd_stats(directory: Path, out_dir: Path | None = None) -> int:
 
     summary = ratio_summary(rows)
     modes = sorted({mode for mode, _ in summary})
-    for kind in REQUIRED:
+    for kind in REQUIRED_KINDS:
         blocks = [(mode, summary[(mode, kind)]) for mode in modes if (mode, kind) in summary]
         if not blocks:
             continue
@@ -509,7 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           metavar="K", help="first weight (inclusive)")
     p_verify.add_argument("--to", dest="k_max", type=int, required=True,
                           metavar="K", help="last weight (inclusive)")
-    p_verify.add_argument("--mode", choices=("random", "consecutive"),
+    p_verify.add_argument("--mode", choices=MODES,
                           default="random", help="prime selection strategy")
     p_verify.add_argument("--seed", type=int, default=0,
                           help="global seed for random mode (default 0)")

@@ -3,7 +3,13 @@
 Matrix reduction, characteristic polynomials, squarefreeness, and
 factorization patterns via distinct-degree splitting with a Frobenius matrix
 and blocked gcds (von zur Gathen & Shoup, 1992; Kaltofen & Shoup, 1998).
-Polynomials are coefficient arrays, lowest degree first.
+
+F_p data are plain int64 numpy arrays of residues in [0, p), passed together
+with p: a matrix is a square 2-d array, and a polynomial is a 1-d array of
+coefficients, lowest degree first, whose last entry is its leading
+coefficient.  The modulus is checked once, where integer data enter F_p
+(:func:`reduce_matrix`, and :func:`~maeda.hecke.hecke_matrix_T2_mod_p`);
+the functions that take an F_p array trust the p passed with it.
 
 The modulus cap p < 2^20 keeps every intermediate inside int64: a product of
 two residues stays below 2^40, and every convolution or dot-product sum here
@@ -11,33 +17,22 @@ adds at most n such products, n the matrix size or polynomial degree.  That
 includes the Frobenius step h @ Q, n products below 2^40 each.  With
 n < 2^23 every sum stays below 2^63, so numpy integer arithmetic is exact
 throughout; an n x n int64 matrix with n >= 2^23 would take 512 TiB, so
-the degree bound holds for any matrix that exists.  The modulus cap is
-enforced, not assumed.
+the degree bound holds for any matrix that exists.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .hecke import IntMatrix
 from .patterns import Pattern
 from .primes import MAX_MODULUS, check_modulus
 
-if TYPE_CHECKING:  # hecke builds ModMatrix values, so it imports this module
-    from .hecke import IntMatrix
-
-# Factorization patterns share their shape with permutation cycle patterns.
-FactorPattern = Pattern
-
 __all__ = [
     "MAX_MODULUS",
-    "FactorPattern",
-    "ModPoly",
-    "ModMatrix",
     "reduce_matrix",
     "charpoly_mod_p",
     "is_squarefree",
@@ -46,88 +41,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModPoly:
-    """Polynomial over F_p: residues in [0, p), lowest degree first, trimmed."""
+def reduce_matrix(M: IntMatrix, p: int) -> np.ndarray:
+    """Entry-wise reduction of an integer matrix into [0, p), as int64.
 
-    p: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        check_modulus(self.p)
-        reduced = tuple(int(c) % self.p for c in self.coeffs)
-        while reduced and reduced[-1] == 0:
-            reduced = reduced[:-1]
-        object.__setattr__(self, "coeffs", reduced)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial assigned -1."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def derivative(self) -> "ModPoly":
-        return ModPoly(self.p, tuple(n * c for n, c in enumerate(self.coeffs))[1:])
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for n, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"{c}*X^{n}" if n else str(c))
-        return " + ".join(terms) + f" (mod {self.p})"
-
-
-@dataclass(frozen=True, eq=False)
-class ModMatrix:
-    """Square matrix over F_p, entries an int64 numpy array in [0, p)."""
-
-    p: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        check_modulus(self.p)
-        e = np.asarray(self.entries, dtype=np.int64)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError("matrix must be square")
-        e = e % self.p
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def d(self) -> int:
-        return self.entries.shape[0]
-
-
-def reduce_matrix(M: IntMatrix, p: int) -> ModMatrix:
-    """Entry-wise reduction of an integer matrix into [0, p)."""
+    Raises ValueError unless p is a prime below 2^20.
+    """
     check_modulus(p)
     d = M.d
-    entries = np.fromiter(
+    return np.fromiter(
         (e % p for row in M.rows for e in row), dtype=np.int64, count=d * d
     ).reshape(d, d)
-    return ModMatrix(p, entries)
 
 
-def charpoly_mod_p(A: ModMatrix) -> ModPoly:
-    """Monic characteristic polynomial of A over F_p.
+def charpoly_mod_p(A: np.ndarray, p: int) -> np.ndarray:
+    """Monic characteristic polynomial of the square matrix A over F_p.
 
-    Deterministic O(d^3): reduce to upper Hessenberg form by a similarity
-    built from pivoted eliminations, then run the leading-minor recurrence.
+    A may hold any integers; they are reduced mod p.  Deterministic O(d^3):
+    reduce to upper Hessenberg form by a similarity built from pivoted
+    eliminations, then run the leading-minor recurrence.
     """
-    p = A.p
-    d = A.d
-    if d == 0:
-        return ModPoly(p, (1,))
-    h = A.entries.astype(np.int64).copy()
+    h = np.asarray(A, dtype=np.int64) % p
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError("matrix must be square")
+    d = h.shape[0]
     for m in range(1, d - 1):
         col = h[m:, m - 1]
         nonzero = np.nonzero(col)[0]
@@ -161,7 +97,7 @@ def charpoly_mod_p(A: ModMatrix) -> ModPoly:
                 coefs[k - 1] = int(h[k - 1, m - 1]) * t % p
             if np.any(coefs):
                 cur[:m] = (cur[:m] - coefs @ P[: m - 1, :m]) % p
-    return ModPoly(p, tuple(int(c) for c in P[d]))
+    return P[d].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -262,28 +198,52 @@ def _powmod(a: np.ndarray, e: int, rows: np.ndarray, p: int) -> np.ndarray:
     return result
 
 
-@functools.lru_cache(maxsize=1)
-def is_squarefree(f: ModPoly) -> bool:
+def is_squarefree(f: np.ndarray, p: int) -> bool:
     """True iff gcd(f, f') is constant, i.e. f has no repeated roots.
 
-    The last answer is cached: a search tests f and then factors it, and the
-    factoring entry points test it again before splitting.
+    The last answer is cached, keyed on p and the coefficients: a search
+    tests f and then factors it, and the factoring entry points test it again
+    before splitting.
     """
-    if f.is_zero:
+    f = np.asarray(f, dtype=np.int64)
+    if not f.any():
         raise ValueError("squarefreeness is undefined for the zero polynomial")
-    a = np.array(f.coeffs, dtype=np.int64)
-    da = np.array(f.derivative().coeffs, dtype=np.int64)
-    return len(_gcd(a, da, f.p)) <= 1
+    return _is_squarefree(p, f.tobytes())
 
 
-def _split(f: ModPoly) -> dict[int, np.ndarray]:
-    # {i: product of the degree-i irreducible factors of f}, as arrays
-    if not f.is_monic:
+@functools.lru_cache(maxsize=1)
+def _is_squarefree(p: int, coeffs: bytes) -> bool:
+    f = np.frombuffer(coeffs, dtype=np.int64)
+    derivative = f[1:] * np.arange(1, len(f)) % p
+    return len(_gcd(f, derivative, p)) <= 1
+
+
+def distinct_degree_split(f: np.ndarray, p: int) -> dict[int, np.ndarray]:
+    """Split monic squarefree f into subproducts by irreducible-factor degree.
+
+    Returns {i: product of all irreducible factors of degree i}, each value
+    a monic polynomial array, the product of all values equal to f.  Raises
+    ValueError on input that is not monic or not squarefree.
+
+    gcd(f, X^(p^i) - X) is the product of the factors whose degree divides i.
+    The powers X^(p^i) mod f come from the Frobenius matrix Q, whose row r is
+    X^(rp) mod f: Frobenius is F_p-linear, so each round is one
+    vector-matrix product h -> h Q instead of a modular exponentiation (von
+    zur Gathen & Shoup, "Computing Frobenius maps and factoring polynomials",
+    1992).  The rounds are taken in blocks of ceil(sqrt(deg f)), and the
+    products of X^(p^i) - X over a block share one gcd with what remains of
+    f; only a block whose gcd is non-trivial is refined round by round
+    (the baby-step/giant-step blocking of Kaltofen & Shoup, "Subquadratic-time
+    factoring of polynomials over finite fields", 1998).  Once 2(i+1) exceeds
+    the remaining degree, what is left is itself irreducible.  The factors
+    are never separated further: a factorization *pattern* only needs their
+    degrees.
+    """
+    fr = np.array(f, dtype=np.int64)  # f with the factors found so far divided out
+    if not len(fr) or fr[-1] != 1:
         raise ValueError("distinct-degree splitting requires a monic polynomial")
-    if not is_squarefree(f):
+    if not is_squarefree(fr, p):
         raise ValueError("distinct-degree splitting requires a squarefree polynomial")
-    p = f.p
-    fr = np.array(f.coeffs, dtype=np.int64)  # f with the factors found so far divided out
     n = deg = len(fr) - 1
     if n < 2:
         return {n: fr} if n else {}
@@ -333,31 +293,7 @@ def _split(f: ModPoly) -> dict[int, np.ndarray]:
     return out
 
 
-def distinct_degree_split(f: ModPoly) -> dict[int, ModPoly]:
-    """Split monic squarefree f into subproducts by irreducible-factor degree.
-
-    Returns {i: product of all irreducible factors of degree i}, each value
-    monic, the product of all values equal to f.  Raises ValueError on input
-    that is not monic or not squarefree.
-
-    gcd(f, X^(p^i) - X) is the product of the factors whose degree divides i.
-    The powers X^(p^i) mod f come from the Frobenius matrix Q, whose row r is
-    X^(rp) mod f: Frobenius is F_p-linear, so each round is one
-    vector-matrix product h -> h Q instead of a modular exponentiation (von
-    zur Gathen & Shoup, "Computing Frobenius maps and factoring polynomials",
-    1992).  The rounds are taken in blocks of ceil(sqrt(deg f)), and the
-    products of X^(p^i) - X over a block share one gcd with what remains of
-    f; only a block whose gcd is non-trivial is refined round by round
-    (the baby-step/giant-step blocking of Kaltofen & Shoup, "Subquadratic-time
-    factoring of polynomials over finite fields", 1998).  Once 2(i+1) exceeds
-    the remaining degree, what is left is itself irreducible.  The factors
-    are never separated further: a factorization *pattern* only needs their
-    degrees.
-    """
-    return {i: ModPoly(f.p, tuple(g.tolist())) for i, g in _split(f).items()}
-
-
-def factorization_pattern(f: ModPoly) -> Pattern:
+def factorization_pattern(f: np.ndarray, p: int) -> Pattern:
     """Factorization pattern of a monic squarefree f over F_p.
 
     The multiset {degree: count} of its irreducible factors, computed by
@@ -365,4 +301,5 @@ def factorization_pattern(f: ModPoly) -> Pattern:
     raises ValueError on non-squarefree input, where the pattern would be
     ill-defined.
     """
-    return Pattern.from_pairs((i, (len(g) - 1) // i) for i, g in _split(f).items())
+    split = distinct_degree_split(f, p)
+    return Pattern.from_pairs((i, (len(g) - 1) // i) for i, g in split.items())

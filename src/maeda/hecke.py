@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .ffpoly import ModMatrix
+import numpy as np
+
 from .qseries import dim_cusp_forms, miller_basis, miller_basis_mod_p, spanning_set
 
 __all__ = [
@@ -107,19 +108,20 @@ def hecke_matrix_T2(k: int) -> IntMatrix:
     )
 
 
-def hecke_matrix_T2_mod_p(k: int, p: int) -> ModMatrix:
+def hecke_matrix_T2_mod_p(k: int, p: int) -> np.ndarray:
     """:func:`hecke_matrix_T2` reduced mod a prime p < 2^20, built mod p.
 
     No big integer is formed: entry (i, n) is a_(2n) + 2^(k-1) a_(n/2) of
     f_i mod p, the second term only for even n, read off the basis from
-    :func:`~maeda.qseries.miller_basis_mod_p`.  Equal to
-    ``reduce_matrix(hecke_matrix_T2(k), p)``.
+    :func:`~maeda.qseries.miller_basis_mod_p`, which checks p.  Returns an
+    int64 array equal to ``reduce_matrix(hecke_matrix_T2(k), p)``.
     """
     basis = miller_basis_mod_p(k, p)
     d = basis.shape[0]
     entries = basis[:, 2 : 2 * d + 1 : 2].copy()
     entries[:, 1::2] += pow(2, k - 1, p) * basis[:, 1 : d // 2 + 1]
-    return ModMatrix(p, entries % p)
+    entries %= p
+    return entries
 
 
 def hecke_matrix_T2_spanning(k: int) -> IntMatrix:

@@ -207,8 +207,8 @@ def test_criterion_7_frobenius_density_weight_24():
     hits = 0
     for _ in range(n):
         p = sample_prime(rng, 1 << 20)
-        fp = charpoly_mod_p(reduce_matrix(matrix, p))
-        if is_squarefree(fp) and T.I in classify(factorization_pattern(fp), 2):
+        fp = charpoly_mod_p(reduce_matrix(matrix, p), p)
+        if is_squarefree(fp, p) and T.I in classify(factorization_pattern(fp, p), 2):
             hits += 1
     sigma = math.sqrt(0.25 / n)
     deviation = abs(hits / n - 0.5)
@@ -225,8 +225,8 @@ def test_criterion_8_certificate_tamper_detection(tmp_path):
     for p in sieve_primes(10_000):
         if p == original.prime:
             continue
-        fp = charpoly_mod_p(reduce_matrix(matrix, p))
-        if is_squarefree(fp) and factorization_pattern(fp) != original.pattern:
+        fp = charpoly_mod_p(reduce_matrix(matrix, p), p)
+        if is_squarefree(fp, p) and factorization_pattern(fp, p) != original.pattern:
             substitute = p  # verified non-witness: its pattern differs
             break
     assert substitute is not None

@@ -123,7 +123,7 @@ def test_verify_weight_consecutive_skips_bad_small_primes():
     cert = verify_weight(24, mode="consecutive")
     m = hecke_matrix_T2(24)
     for p in (2, 3):
-        assert not is_squarefree(charpoly_mod_p(reduce_matrix(m, p)))
+        assert not is_squarefree(charpoly_mod_p(reduce_matrix(m, p), p), p)
     assert all(w.prime not in (2, 3) for w in cert.witnesses.values())
     assert min(w.trial for w in cert.witnesses.values()) >= 3
 
@@ -154,8 +154,8 @@ def test_frobenius_statistics_weight_24():
     hits = 0
     for _ in range(n):
         p = sample_prime(rng, 1 << 20)
-        fp = charpoly_mod_p(reduce_matrix(m, p))
-        if is_squarefree(fp) and T.I in classify(factorization_pattern(fp), 2):
+        fp = charpoly_mod_p(reduce_matrix(m, p), p)
+        if is_squarefree(fp, p) and T.I in classify(factorization_pattern(fp, p), 2):
             hits += 1
     sigma = (0.25 / n) ** 0.5
     assert abs(hits / n - 0.5) < 5 * sigma
@@ -169,10 +169,10 @@ def test_frobenius_statistics_weight_60():
     hits = {T.I: 0, T.III: 0}
     for _ in range(n):
         p = sample_prime(rng, 1 << 20)
-        fp = charpoly_mod_p(reduce_matrix(m, p))
-        if not is_squarefree(fp):
+        fp = charpoly_mod_p(reduce_matrix(m, p), p)
+        if not is_squarefree(fp, p):
             continue
-        kinds = classify(factorization_pattern(fp), 5)
+        kinds = classify(factorization_pattern(fp, p), 5)
         for kind in hits:
             if kind in kinds:
                 hits[kind] += 1
@@ -188,10 +188,10 @@ def find_non_witness_prime(weight: int, kind: PrimeType, recorded: Witness) -> i
     for p in sieve_primes(10_000):
         if p == recorded.prime:
             continue
-        fp = charpoly_mod_p(reduce_matrix(m, p))
-        if not is_squarefree(fp):
+        fp = charpoly_mod_p(reduce_matrix(m, p), p)
+        if not is_squarefree(fp, p):
             continue
-        if factorization_pattern(fp) != recorded.pattern:
+        if factorization_pattern(fp, p) != recorded.pattern:
             return p
     raise AssertionError("no replacement prime found")
 
@@ -270,6 +270,20 @@ def test_check_certificate_rejects_prime_bound_above_2_20(built_primes):
     assert "prime bound 4194304 outside [3, 2^20]" in result.reasons
     assert "kind I witness 1048583: not below 2^20" in result.reasons
     assert built_primes and all(p < 1 << 20 for p in built_primes)
+
+
+def test_check_certificate_refuses_huge_prime_before_primality_test(monkeypatch):
+    # Miller-Rabin on a 4200-digit odd number takes seconds; a witness prime
+    # that large must be refused as not below 2^20 without testing it
+    tested: list[int] = []
+    monkeypatch.setattr(certify, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    cert = verify_weight(48, seed=9)
+    witnesses = dict(cert.witnesses)
+    huge = 10**4200 + 7
+    witnesses[T.I] = dataclasses.replace(witnesses[T.I], prime=huge)
+    result = check_certificate(dataclasses.replace(cert, witnesses=witnesses))
+    assert f"kind I witness {huge}: not below 2^20" in result.reasons
+    assert tested and all(n < 1 << 20 for n in tested)
 
 
 def test_check_certificate_builds_once_per_distinct_prime(built_primes):

@@ -1,14 +1,19 @@
 """Certificate files, the batch driver, rechecking, stats, and densities."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from maeda import certify
-from maeda.certify import MAX_WEIGHT, verify_weight
+from maeda import certify, cli
+from maeda.certify import MAX_WEIGHT, check_certificate, verify_weight
 from maeda.hecke import dim_cusp_forms
 from maeda.cli import (
     RunConfig,
@@ -78,6 +83,64 @@ def test_malformed_json_rejected():
         certificate_from_json("{not json")
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"witnesses": {', '"witnesses": [], "was": {'),
+        ('"trials_total": {', '"trials_total": [], "was": {'),
+        ('"weight": 24,', '"weight": 1e400,'),
+        ('"weight": 24,', '"weight": ' + "[" * 10**5 + "]" * 10**5 + ","),
+        ('"weight": 24,', '"weight": ' + "9" * 5000 + ","),
+    ],
+    ids=["witnesses-list", "trials_total-list", "weight-overflow", "deep-nesting",
+         "int-too-long"],
+)
+def test_malformed_field_types_fail_without_traceback(tmp_path, capsys, old, new):
+    text = certificate_to_json(verify_weight(24, seed=4))
+    assert old in text
+    broken = text.replace(old, new)
+    with pytest.raises(ValueError):
+        certificate_from_json(broken)
+    (tmp_path / "cert_24.json").write_text(broken)
+    assert cmd_check(tmp_path) == 1
+    assert "cert_24.json: FAIL (" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "weight, mode, edit, reason",
+    [
+        (48, "random",
+         lambda b: [w.update(trial=-7) for w in b["witnesses"].values()],
+         "trial -7 below 1"),
+        (48, "random",
+         lambda b: b.update(trials_total={"I": 99, "II": -3, "III": 0}),
+         "trials_total does not match the witness trials"),
+        (48, "random", lambda b: b["trials_total"].update(IV=1),
+         "trials_total does not match the witness trials"),
+        (12, "random", lambda b: b["trials_total"].update(II=1),
+         "trials_total does not match the witness trials"),
+        (48, "random", lambda b: b.update(mode="bogus"), "unknown mode 'bogus'"),
+        (48, "random", lambda b: b.update(seed=None),
+         "seed None does not fit mode 'random'"),
+        (36, "consecutive", lambda b: b.update(seed=3),
+         "seed 3 does not fit mode 'consecutive'"),
+    ],
+    ids=["trial-negative", "trials_total-off", "trials_total-extra-kind",
+         "vacuous-trials_total", "mode-bogus", "random-without-seed",
+         "consecutive-with-seed"],
+)
+def test_cmd_check_validates_trials_mode_and_seed(tmp_path, capsys, weight, mode,
+                                                  edit, reason):
+    cert = verify_weight(weight, mode=mode, seed=1)
+    assert check_certificate(cert)  # as verify wrote it
+    blob = json.loads(certificate_to_json(cert))
+    edit(blob)
+    (tmp_path / f"cert_{weight}.json").write_text(json.dumps(blob))
+    assert cmd_check(tmp_path) == 1
+    out = capsys.readouterr().out
+    assert f"cert_{weight}.json: FAIL (" in out and reason in out
+
+
 def test_cmd_verify_small_range(small_run):
     # even weights 12..60: 25 of them; k = 14 alone has an empty cusp space
     files = sorted(small_run.glob("cert_*.json"))
@@ -133,6 +196,45 @@ def test_cmd_verify_parallel_matches_serial(tmp_path):
         a.pop("duration_ms")
         b.pop("duration_ms")
         assert a == b
+
+
+def test_write_certificate_is_atomic(tmp_path, monkeypatch):
+    cert = verify_weight(48, seed=1)
+    path = certificate_path(tmp_path, 48)
+    write_certificate(path, cert)
+    assert path.read_bytes() == certificate_to_json(cert).encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["cert_48.json"]
+
+    real_write_text = Path.write_text
+
+    def write_half_then_fail(self, text, *args, **kwargs):
+        real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    rewritten = dataclasses.replace(cert, duration_ms=cert.duration_ms + 1)
+    with pytest.raises(OSError):
+        write_certificate(path, rewritten)  # the old file stays whole
+    with pytest.raises(OSError):
+        write_certificate(certificate_path(tmp_path, 60), verify_weight(60, seed=1))
+    assert [p.name for p in tmp_path.iterdir()] == ["cert_48.json"]
+    assert read_certificate(path) == cert
+
+
+def test_cmd_verify_prints_each_row_as_its_weight_finishes(tmp_path, capsys,
+                                                           monkeypatch):
+    calls = []
+
+    def spy(k, **kwargs):
+        calls.append((k, capsys.readouterr().out))
+        return verify_weight(k, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_weight", spy)
+    assert cmd_verify(RunConfig(k_min=24, k_max=28, out_dir=tmp_path, seed=1)) == 0
+    assert [k for k, _ in calls] == [24, 26, 28]
+    assert calls[0][1] == ""
+    assert calls[1][1].startswith("k=   24  d=2   certified ")
+    assert calls[2][1].startswith("k=   26  d=1   certified ")
 
 
 def test_cmd_verify_rejects_bad_config(tmp_path, capsys):
@@ -315,3 +417,82 @@ def test_main_entry_points(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["verify", "--from", "12"])  # argparse: missing --to
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing check with certificate JSON that is broken in one place
+
+def _json_paths(node, path=()):
+    """(path, value) of every node below the root of a JSON tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,), value
+        yield from _json_paths(value, path + (key,))
+
+
+FUZZ_BASE = certificate_to_json(verify_weight(48, seed=1))  # kinds I to IV
+FUZZ_PATHS = list(_json_paths(json.loads(FUZZ_BASE)))
+# values that check cannot verify: any change to them keeps the certificate
+# valid unless it breaks the schema
+UNCHECKED = {("seed",), ("duration_ms",), ("witnesses", "IV", "trial")}
+OPTIONAL = {("witnesses", "IV")}
+
+json_junk = st.one_of(
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=3),
+    st.text(max_size=8),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=-(2**64)),
+)
+
+
+def _breaks(path, old, new) -> bool:
+    # a replacement that no valid certificate can hold at this path
+    if type(new) is not type(old):
+        return True
+    return type(new) is int and path not in UNCHECKED
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_certificate_fails_check_and_never_raises(data):
+    payload = json.loads(FUZZ_BASE)
+    op = data.draw(st.sampled_from(["drop", "replace", "perturb", "truncate"]))
+    if op == "truncate":
+        cut = data.draw(st.integers(0, len(FUZZ_BASE.rstrip()) - 1))
+        text = FUZZ_BASE[:cut]
+    else:
+        path, old = data.draw(st.sampled_from(FUZZ_PATHS))
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == "drop":
+            assume(path not in OPTIONAL)
+            del parent[path[-1]]
+        elif op == "replace":
+            new = data.draw(json_junk)
+            assume(_breaks(path, old, new))
+            parent[path[-1]] = new
+        else:
+            assume(type(old) is int and path not in UNCHECKED | {("prime_bound",)})
+            delta = data.draw(st.integers(-1000, 1000).filter(bool))
+            if path == ("weight",) or path[-1] == "prime":
+                delta = 2 * delta + 1  # odd weight: no cusp forms; even prime: composite
+            parent[path[-1]] = old + delta
+        text = json.dumps(payload)
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "cert_48.json").write_text(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cmd_check(Path(tmp))
+    assert code == 1, (op, text)
+    lines = out.getvalue().splitlines()
+    assert lines[0].startswith("cert_48.json: FAIL (") and lines[1] == "0/1 certificates pass"

@@ -13,8 +13,6 @@ from sympy.polys.galoistools import gf_irreducible_p
 from _oracles import charpoly_det_expansion, poly_mul, trial_factor_pattern
 from maeda.ffpoly import (
     MAX_MODULUS,
-    ModMatrix,
-    ModPoly,
     charpoly_mod_p,
     distinct_degree_split,
     factorization_pattern,
@@ -26,27 +24,47 @@ from maeda.patterns import Pattern
 from maeda.primes import sieve_primes
 
 
-def test_modpoly_normalizes():
-    f = ModPoly(7, (9, -1, 0, 0))
-    assert f.coeffs == (2, 6)
-    assert f.degree == 1
-    assert ModPoly(5, (0, 0)).is_zero
-    assert ModPoly(5, (3, 0, 1)).is_monic
+def poly(p: int, coeffs) -> np.ndarray:
+    """Polynomial array over F_p from integer coefficients, lowest degree first."""
+    return np.array(coeffs, dtype=np.int64) % p
+
+
+def assert_poly(f: np.ndarray, p: int) -> None:
+    """f follows the polynomial convention: int64 residues, trimmed."""
+    assert f.dtype == np.int64 and f.ndim == 1
+    assert np.all((0 <= f) & (f < p))
+    assert len(f) == 0 or f[-1] != 0
+
+
+def test_charpoly_returns_reduced_monic_array():
+    # entries outside [0, p) are reduced: [[9, -1], [0, 13]] is [[2, 6], [0, 6]]
+    # mod 7, whose charpoly (X - 2)(X - 6) = X^2 - 8X + 12 is (5, 6, 1) mod 7
+    f = charpoly_mod_p(np.array([[9, -1], [0, 13]]), 7)
+    assert_poly(f, 7)
+    assert f.tolist() == [5, 6, 1]
+    for k, p in ((48, 5), (120, 1048573)):
+        f = charpoly_mod_p(hecke_matrix_T2_mod_p(k, p), p)
+        assert_poly(f, p)
+        assert len(f) == hecke_matrix_T2(k).d + 1 and f[-1] == 1
 
 
 def test_modulus_validation():
+    one = IntMatrix(((1,),))
     with pytest.raises(ValueError):
-        ModPoly(6, (1,))  # composite
+        reduce_matrix(one, 6)  # composite
     with pytest.raises(ValueError):
-        ModPoly(MAX_MODULUS + 7, (1,))  # beyond the 2^20 cap
+        reduce_matrix(one, MAX_MODULUS + 7)  # beyond the 2^20 cap
     with pytest.raises(ValueError):
-        reduce_matrix(IntMatrix(((1,),)), 1048583)  # prime, but >= 2^20
+        reduce_matrix(one, 1048583)  # prime, but >= 2^20
+    with pytest.raises(ValueError):
+        charpoly_mod_p(np.zeros((2, 3), dtype=np.int64), 5)  # not square
 
 
 def test_reduce_matrix_examples():
-    assert reduce_matrix(IntMatrix(((-24,),)), 101).entries.tolist() == [[77]]
+    a = reduce_matrix(IntMatrix(((-24,),)), 101)
+    assert a.dtype == np.int64 and a.tolist() == [[77]]
     zero = IntMatrix(((0, 0), (0, 0)))
-    assert reduce_matrix(zero, 13).entries.tolist() == [[0, 0], [0, 0]]
+    assert reduce_matrix(zero, 13).tolist() == [[0, 0], [0, 0]]
 
 
 def test_reduce_matrix_trace_matches_integer_trace():
@@ -56,23 +74,20 @@ def test_reduce_matrix_trace_matches_integer_trace():
     for _ in range(20):
         p = primes[rng.randrange(len(primes))]
         a = reduce_matrix(m, p)
-        assert int(a.entries.trace()) % p == 1080 % p
+        assert int(a.trace()) % p == 1080 % p
 
 
 def test_charpoly_one_by_one():
-    a = ModMatrix(11, np.array([[7]]))
-    assert charpoly_mod_p(a).coeffs == (4, 1)  # X - 7 = X + 4 mod 11
+    assert charpoly_mod_p(np.array([[7]]), 11).tolist() == [4, 1]  # X - 7 = X + 4 mod 11
 
 
 def test_charpoly_companion_matrix():
     # companion matrix of X^2 + 1 over F_5
-    a = ModMatrix(5, np.array([[0, -1], [1, 0]]))
-    assert charpoly_mod_p(a).coeffs == (1, 0, 1)
+    assert charpoly_mod_p(np.array([[0, -1], [1, 0]]), 5).tolist() == [1, 0, 1]
 
 
 def test_charpoly_empty_matrix():
-    a = ModMatrix(7, np.zeros((0, 0), dtype=np.int64))
-    assert charpoly_mod_p(a).coeffs == (1,)
+    assert charpoly_mod_p(np.zeros((0, 0), dtype=np.int64), 7).tolist() == [1]
 
 
 def test_charpoly_against_det_expansion_oracle():
@@ -81,9 +96,9 @@ def test_charpoly_against_det_expansion_oracle():
         p = rng.choice([2, 3, 5, 7, 101])
         d = rng.randrange(1, 5)
         rows = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
-        got = charpoly_mod_p(ModMatrix(p, np.array(rows, dtype=np.int64)))
+        got = charpoly_mod_p(np.array(rows, dtype=np.int64), p)
         expect = charpoly_det_expansion(rows, modulus=p)
-        assert list(got.coeffs) == expect, (p, rows)
+        assert got.tolist() == expect, (p, rows)
 
 
 def test_charpoly_mod_p_matches_reduced_exact_charpoly():
@@ -94,9 +109,9 @@ def test_charpoly_mod_p_matches_reduced_exact_charpoly():
         exact = charpoly_exact(m)
         for _ in range(30):
             p = primes[rng.randrange(len(primes))]
-            assert charpoly_mod_p(reduce_matrix(m, p)).coeffs == tuple(
+            assert charpoly_mod_p(reduce_matrix(m, p), p).tolist() == [
                 c % p for c in exact
-            )
+            ]
 
 
 @pytest.mark.parametrize(
@@ -108,17 +123,31 @@ def test_charpoly_mod_p_matches_reduced_exact_charpoly():
     ],
 )
 def test_is_squarefree(p, coeffs, expected):
-    assert is_squarefree(ModPoly(p, coeffs)) is expected
+    assert is_squarefree(poly(p, coeffs), p) is expected
+
+
+def test_is_squarefree_cache_keys_on_p_and_coefficients():
+    # the cached last answer must never be returned for another p or f
+    f = poly(5, (1, 0, 1))
+    for _ in range(2):
+        assert is_squarefree(f, 2) is False  # (X+1)^2 over F_2
+        assert is_squarefree(f, 5) is True
+    g = f.copy()
+    g[1] = 2  # X^2 + 2X + 1 = (X+1)^2 over F_5
+    assert is_squarefree(g, 5) is False
+    assert is_squarefree(f, 5) is True
 
 
 def test_is_squarefree_rejects_zero():
     with pytest.raises(ValueError):
-        is_squarefree(ModPoly(5, ()))
+        is_squarefree(np.zeros(0, dtype=np.int64), 5)
+    with pytest.raises(ValueError):
+        is_squarefree(np.zeros(3, dtype=np.int64), 5)
 
 
 def test_is_squarefree_with_vanishing_derivative():
     # f = X^4 + 1 over F_2 has zero derivative and is (X+1)^4
-    assert is_squarefree(ModPoly(2, (1, 0, 0, 0, 1))) is False
+    assert is_squarefree(poly(2, (1, 0, 0, 0, 1)), 2) is False
 
 
 @pytest.mark.parametrize(
@@ -130,20 +159,22 @@ def test_is_squarefree_with_vanishing_derivative():
     ],
 )
 def test_factorization_pattern_examples(p, coeffs, expected):
-    assert factorization_pattern(ModPoly(p, coeffs)) == Pattern.from_pairs(
+    assert factorization_pattern(poly(p, coeffs), p) == Pattern.from_pairs(
         expected.items()
     )
 
 
 def test_factorization_pattern_rejects_non_squarefree():
     with pytest.raises(ValueError):
-        factorization_pattern(ModPoly(2, (1, 0, 1)))
-    square = ModPoly(5, (4, 4, 1))  # (X+2)^2, its answer cached by the first call
-    assert not is_squarefree(square)
+        factorization_pattern(poly(2, (1, 0, 1)), 2)
+    square = poly(5, (4, 4, 1))  # (X+2)^2, its answer cached by the first call
+    assert not is_squarefree(square, 5)
     with pytest.raises(ValueError):
-        factorization_pattern(square)
+        factorization_pattern(square, 5)
     with pytest.raises(ValueError):
-        distinct_degree_split(ModPoly(5, (1, 3)))  # leading coefficient 3
+        distinct_degree_split(poly(5, (1, 3)), 5)  # leading coefficient 3
+    with pytest.raises(ValueError):
+        distinct_degree_split(poly(5, (1, 1, 0)), 5)  # untrimmed: leading entry 0
 
 
 def test_ddf_against_trial_factorization():
@@ -152,11 +183,11 @@ def test_ddf_against_trial_factorization():
     for p in (2, 3, 5, 7, 11, 13):
         for _ in range(60):
             d = rng.randrange(1, 7)
-            f = ModPoly(p, tuple(rng.randrange(p) for _ in range(d)) + (1,))
-            if not is_squarefree(f):
+            f = poly(p, [rng.randrange(p) for _ in range(d)] + [1])
+            if not is_squarefree(f, p):
                 continue
-            got = factorization_pattern(f)
-            assert got.as_dict() == trial_factor_pattern(f.coeffs, p), (p, f)
+            got = factorization_pattern(f, p)
+            assert got.as_dict() == trial_factor_pattern(f.tolist(), p), (p, f)
             checked += 1
     assert checked > 150
 
@@ -170,11 +201,11 @@ def test_ddf_exhaustive_small_fields():
                 for _ in range(d):
                     tail.append(m % p)
                     m //= p
-                f = ModPoly(p, tuple(tail) + (1,))
-                if not is_squarefree(f):
+                f = poly(p, tail + [1])
+                if not is_squarefree(f, p):
                     continue
-                assert factorization_pattern(f).as_dict() == trial_factor_pattern(
-                    f.coeffs, p
+                assert factorization_pattern(f, p).as_dict() == trial_factor_pattern(
+                    f.tolist(), p
                 ), f
 
 
@@ -184,18 +215,19 @@ def test_ddf_exhaustive_small_fields():
     tail=st.lists(st.integers(0, 996), min_size=1, max_size=30),
 )
 def test_pattern_degree_sum_and_multiply_back(p, tail):
-    f = ModPoly(p, tuple(c % p for c in tail) + (1,))
-    if not is_squarefree(f):
+    f = poly(p, tail + [1])
+    if not is_squarefree(f, p):
         return
-    split = distinct_degree_split(f)
-    pattern = factorization_pattern(f)
-    assert pattern.size == f.degree
+    split = distinct_degree_split(f, p)
+    pattern = factorization_pattern(f, p)
+    assert pattern.size == len(f) - 1
     for i, g in split.items():
-        assert g.degree % i == 0 and g.is_monic
+        assert_poly(g, p)
+        assert (len(g) - 1) % i == 0 and g[-1] == 1
     product = [1]
     for g in split.values():
-        product = poly_mul(product, list(g.coeffs), p)
-    assert tuple(product) == f.coeffs
+        product = poly_mul(product, g.tolist(), p)
+    assert product == f.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -247,22 +279,23 @@ def planted_polynomial(rng: random.Random, p: int, shape) -> tuple[list[int], li
 
 def check_planted(rng: random.Random, p: int, shape) -> None:
     product, factors = planted_polynomial(rng, p, shape)
-    f = ModPoly(p, tuple(product))
+    f = np.array(product, dtype=np.int64)
     expected = Pattern.from_lengths(shape)
-    assert factorization_pattern(f) == expected, (p, shape)
+    assert factorization_pattern(f, p) == expected, (p, shape)
     assert sympy_factor_degrees(product, p) == sorted((m, 1) for m in shape)
-    split = distinct_degree_split(f)
+    split = distinct_degree_split(f, p)
     assert sorted(split) == sorted(set(shape))
     multiplied = [1]
     for i, g in split.items():
-        assert g.is_monic and g.degree % i == 0
+        assert_poly(g, p)
+        assert g[-1] == 1 and (len(g) - 1) % i == 0
         planted_i = [1]
         for h in factors:
             if len(h) - 1 == i:
                 planted_i = poly_mul(planted_i, h, p)
-        assert list(g.coeffs) == planted_i, (p, shape, i)
-        multiplied = poly_mul(multiplied, list(g.coeffs), p)
-    assert tuple(multiplied) == f.coeffs
+        assert g.tolist() == planted_i, (p, shape, i)
+        multiplied = poly_mul(multiplied, g.tolist(), p)
+    assert multiplied == product
 
 
 @st.composite
@@ -290,17 +323,17 @@ def test_pattern_matches_sympy_on_T2_reductions(k):
     primes = sieve_primes(MAX_MODULUS)
     checked = 0
     for p in [2, 3, 5, 7] + [primes[rng.randrange(len(primes))] for _ in range(4)]:
-        fp = charpoly_mod_p(hecke_matrix_T2_mod_p(k, p))
+        fp = charpoly_mod_p(hecke_matrix_T2_mod_p(k, p), p)
         # squarefreeness from the multiplicities: sympy's Poly.is_sqf calls
         # X^50 over F_2 squarefree
-        factors = sympy_factor_degrees(fp.coeffs, p)
+        factors = sympy_factor_degrees(fp.tolist(), p)
         squarefree = all(m == 1 for _, m in factors)
-        assert is_squarefree(fp) is squarefree, (k, p)
+        assert is_squarefree(fp, p) is squarefree, (k, p)
         if not squarefree:
             with pytest.raises(ValueError):
-                factorization_pattern(fp)
+                factorization_pattern(fp, p)
             continue
-        assert factorization_pattern(fp) == Pattern.from_lengths(m for m, _ in factors), (k, p)
+        assert factorization_pattern(fp, p) == Pattern.from_lengths(m for m, _ in factors), (k, p)
         checked += 1
     assert checked >= 3
 
