@@ -3,17 +3,22 @@
 Builds the standard generators, checks the classical identity
 Delta = (E4^3 - E6^2)/1728 coefficient by coefficient, assembles the echelon
 basis of a cusp space, and reads off the integer matrix of T2 two ways.
+All of it is the exact big-integer path of ``maeda.oracles``, the reference
+that the tests hold the product's mod-p builder to.
 
 Run:  python3 demos/01_qexpansions_and_hecke.py
 """
 
-from maeda.hecke import (
+from maeda.hecke import dim_cusp_forms
+from maeda.oracles import (
     charpoly_exact,
-    dim_cusp_forms,
+    delta,
+    eisenstein,
     hecke_matrix_T2,
     hecke_matrix_T2_spanning,
+    miller_basis,
+    series_pow,
 )
-from maeda.qseries import delta, eisenstein, miller_basis, series_pow
 
 PREC = 12
 

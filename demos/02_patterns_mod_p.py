@@ -1,9 +1,10 @@
 """Walkthrough: reductions mod p, factorization patterns, witness kinds.
 
-Reduces one T2 matrix at a spread of primes and shows how each prime is
-classified from the pattern of its characteristic polynomial: small primes
-tend to divide the discriminant (non-squarefree reduction, no kind at all),
-while a random prime usually lands some kind immediately.
+Reduces the exact T2 matrix of ``maeda.oracles`` at a spread of primes (the
+product builds the same matrices mod p directly) and shows how each prime
+is classified from the pattern of its characteristic polynomial: small
+primes tend to divide the discriminant (non-squarefree reduction, no kind
+at all), while a random prime usually lands some kind immediately.
 
 Run:  python3 demos/02_patterns_mod_p.py
 """
@@ -15,7 +16,8 @@ from maeda.ffpoly import (
     is_squarefree,
     reduce_matrix,
 )
-from maeda.hecke import dim_cusp_forms, hecke_matrix_T2
+from maeda.hecke import dim_cusp_forms
+from maeda.oracles import hecke_matrix_T2
 
 K = 120
 d = dim_cusp_forms(K)

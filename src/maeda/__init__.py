@@ -2,15 +2,17 @@
 forms has an irreducible characteristic polynomial with full symmetric Galois
 group (Maeda's conjecture for T2), by randomized multimodular witness search.
 
-The pipeline: exact integer q-expansions build the Miller echelon basis of
-the weight-k cusp space (:mod:`maeda.qseries`); the T2 matrix is read off the
-basis (:mod:`maeda.hecke`); reductions modulo random primes below 2^20 are
-classified by the factorization pattern of their characteristic polynomial
+The pipeline, at each prime p < 2^20 it tests: q-expansions mod p build the
+Miller echelon basis of the weight-k cusp space (:mod:`maeda.qseries`); the
+T2 matrix mod p is read off the basis (:mod:`maeda.hecke`); each prime is
+classified by the factorization pattern of the characteristic polynomial
 (:mod:`maeda.ffpoly`); witnesses of three kinds certify the weight and are
 packaged into certificates (:mod:`maeda.certify`), which are rechecked by
-building T2 mod p directly at the witness primes.  The expected
-search lengths come from cycle-pattern densities in the symmetric group
-(:mod:`maeda.density`), and :mod:`maeda.cli` drives batches.
+the same steps at the witness primes only.  The expected search lengths
+come from cycle-pattern densities in the symmetric group
+(:mod:`maeda.density`), and :mod:`maeda.cli` drives batches.  The exact
+big-integer path, the tests' reference, is :mod:`maeda.oracles`; it is not
+re-exported here.
 """
 
 from .certify import (
@@ -52,27 +54,8 @@ from .ffpoly import (
     is_squarefree,
     reduce_matrix,
 )
-from .hecke import (
-    IntMatrix,
-    charpoly_exact,
-    dim_cusp_forms,
-    hecke_coefficient,
-    hecke_matrix_T2,
-    hecke_matrix_T2_mod_p,
-    hecke_matrix_T2_spanning,
-)
+from .hecke import dim_cusp_forms, hecke_matrix_T2
 from .patterns import Pattern, PrimeType
-from .qseries import (
-    PrecisionError,
-    QSeries,
-    delta,
-    eisenstein,
-    miller_basis,
-    miller_basis_mod_p,
-    series_add,
-    series_mul,
-    series_pow,
-    spanning_set,
-)
+from .qseries import miller_basis, spanning_set
 
 __version__ = "0.1.0"

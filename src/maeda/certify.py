@@ -22,12 +22,10 @@ one prime may witness several kinds at once.  The resulting
 :func:`check_certificate` at the cost of a few modular characteristic
 polynomials, with no searching.
 
-The two paths build T2 differently.  The search tests tens to hundreds of
-primes per weight, so it builds the exact integer matrix once and reduces it
-at each prime.  The recheck needs only the few witness primes, so it builds
-T2 mod p directly at each of them (:func:`~maeda.hecke.hecke_matrix_T2_mod_p`),
-which costs milliseconds where the exact build costs seconds at d = 100; the
-search and the recheck thus share no matrix-building code.
+Search and recheck build T2 the same way, mod each prime they test
+(:func:`~maeda.hecke.hecke_matrix_T2`).  The independent paths are the tests,
+which hold that builder to :mod:`maeda.oracles` over a sweep of weights and
+primes, and ``perfbench/oracle.py``, which shares no code with this package.
 """
 
 from __future__ import annotations
@@ -38,14 +36,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .ffpoly import (
-    MAX_MODULUS,
-    charpoly_mod_p,
-    factorization_pattern,
-    is_squarefree,
-    reduce_matrix,
-)
-from .hecke import dim_cusp_forms, hecke_matrix_T2, hecke_matrix_T2_mod_p
+from .ffpoly import MAX_MODULUS, charpoly_mod_p, factorization_pattern, is_squarefree
+from .ffpoly import reduce_matrix  # noqa: F401  unused; perfbench/trace_child.py wraps it here
+from .hecke import dim_cusp_forms, hecke_matrix_T2
 from .patterns import Pattern, PrimeType
 from .primes import is_prime, sieve_primes
 
@@ -80,6 +73,7 @@ REASON_WRONG_DIMENSION = "wrong dimension"
 REASON_PATTERN_MISMATCH = "pattern mismatch"
 REASON_TYPE_MISMATCH = "type mismatch"
 REASON_NON_SQUAREFREE = "non-squarefree witness"
+REASON_PATTERN_SIZE = "pattern size"
 
 
 class NothingToVerify(ValueError):
@@ -203,6 +197,13 @@ def sample_prime(rng: random.Random, bound: int) -> int:
     return primes[rng.randrange(len(primes))]
 
 
+def _pattern_at(k: int, p: int) -> Pattern | None:
+    # T2 mod p, its charpoly, the squarefree test, then the pattern (None:
+    # the reduction is not squarefree, so p classifies nothing)
+    fp = charpoly_mod_p(hecke_matrix_T2(k, p), p)
+    return factorization_pattern(fp, p) if is_squarefree(fp, p) else None
+
+
 def _weight_seed(seed: int, k: int) -> int:
     # Stable per-weight derivation, so batch runs reproduce independently of
     # scheduling order (Python's salted hash() would not).
@@ -219,15 +220,12 @@ def verify_weight(
 ) -> Certificate:
     """Search for witness primes certifying weight k; return the certificate.
 
-    The Miller basis and the exact T2 matrix are built once: over the many
-    trials of a search that is cheaper than building T2 mod each prime.  Each
-    trial draws a prime (uniformly below ``bound`` in ``random`` mode,
-    consecutively from 2 in ``consecutive`` mode), reduces the matrix, takes
-    the characteristic polynomial mod p, skips non-squarefree reductions (they
-    still count as trials), and classifies the pattern.  The search stops
-    once every required kind has a witness; ``max_trials`` (default 100 * d)
-    turns a stuck search into a loud :class:`SearchExhausted` rather than a
-    hang.
+    Each trial draws a prime (uniformly below ``bound`` in ``random`` mode,
+    consecutively from 2 in ``consecutive`` mode), builds T2 mod p, takes its
+    characteristic polynomial, skips non-squarefree reductions (they still
+    count as trials), and classifies the pattern.  The search stops once
+    every required kind has a witness; ``max_trials`` (default 100 * d) turns
+    a stuck search into a loud :class:`SearchExhausted` rather than a hang.
 
     Raises :class:`NothingToVerify` for weights with dim S_k = 0, and
     ValueError where k, mode or bound break a rule of :func:`rule_errors`.
@@ -241,7 +239,6 @@ def verify_weight(
         raise NothingToVerify(f"dim S_{k} = 0, nothing to verify")
     if max_trials is None:
         max_trials = 100 * d
-    matrix = hecke_matrix_T2(k)
     required = _required(d)
 
     if mode == "random":
@@ -263,10 +260,9 @@ def verify_weight(
             p = consecutive[trials - 1]
         else:  # consecutive mode ran out of primes below the bound
             raise SearchExhausted(k, trials - 1, required - witnesses.keys(), witnesses)
-        fp = charpoly_mod_p(reduce_matrix(matrix, p), p)
-        if not is_squarefree(fp, p):
+        pattern = _pattern_at(k, p)
+        if pattern is None:
             continue
-        pattern = factorization_pattern(fp, p)
         for kind in classify(pattern, d):
             if kind not in witnesses:
                 witnesses[kind] = Witness(p, pattern, trials)
@@ -288,14 +284,14 @@ def verify_weight(
 def check_certificate(cert: Certificate) -> CheckResult:
     """Independently recheck every claim in a certificate.
 
-    At each distinct recorded witness prime only, builds T2 mod p directly
-    and recomputes the characteristic polynomial, the pattern, and the
-    classification.  Costs a handful of modular charpolys instead of a
-    search, and no exact matrix.  The header is checked against
-    :func:`rule_errors` (a weight above :data:`MAX_WEIGHT` fails at once),
-    the seed against the mode, and the trial totals against the witnesses.
-    Every witness prime is validated before any build; a prime that fails is
-    reported and never built at.
+    At each distinct recorded witness prime only, builds T2 mod p and
+    recomputes the characteristic polynomial, the pattern, and the
+    classification: a handful of modular charpolys instead of a search.  The
+    header is checked against :func:`rule_errors` (a weight above
+    :data:`MAX_WEIGHT` fails at once), the seed against the mode, and the
+    trial totals against the witnesses.  Every witness's pattern size and
+    prime are validated before any build; a prime that fails is reported
+    and never built at.
     """
     errors = rule_errors(cert.weight, cert.mode, cert.prime_bound)
     if "weight" in errors:
@@ -322,6 +318,8 @@ def check_certificate(cert: Certificate) -> CheckResult:
         where = f"kind {kind} witness {witness.prime}"
         if witness.trial < 1:
             reasons.append(f"{where}: trial {witness.trial} below 1")
+        if witness.pattern.size != d:
+            reasons.append(f"{where}: {REASON_PATTERN_SIZE} {witness.pattern.size}, expected {d}")
         if witness.prime >= MAX_MODULUS:  # before is_prime, slow on huge numbers
             reasons.append(f"{where}: not below 2^20")
         elif not is_prime(witness.prime):
@@ -335,8 +333,7 @@ def check_certificate(cert: Certificate) -> CheckResult:
     for where, kind, witness in valid:
         p = witness.prime
         if p not in patterns:
-            fp = charpoly_mod_p(hecke_matrix_T2_mod_p(cert.weight, p), p)
-            patterns[p] = factorization_pattern(fp, p) if is_squarefree(fp, p) else None
+            patterns[p] = _pattern_at(cert.weight, p)
         pattern = patterns[p]
         if pattern is None:
             reasons.append(f"{where}: {REASON_NON_SQUAREFREE}")

@@ -223,7 +223,9 @@ def _verify_task(args: tuple[int, str, int, int, str, bool]) -> dict:
     if resume and path.exists():
         try:
             existing = read_certificate(path)
-            if existing.weight == k and check_certificate(existing):
+            asked = (k, mode, seed if mode == "random" else None, bound)
+            found = (existing.weight, existing.mode, existing.seed, existing.prime_bound)
+            if found == asked and check_certificate(existing):
                 cert = existing
                 row["cached"] = True
         except ValueError:
@@ -545,7 +547,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           default=os.environ.get("MAEDA_OUT"),
                           help="output directory (or set MAEDA_OUT)")
     p_verify.add_argument("--resume", action="store_true",
-                          help="skip weights whose valid certificate already exists")
+                          help="skip weights whose certificate exists, passes check, "
+                               "and has the same mode, seed and bound")
 
     p_check = sub.add_parser("check", help="recheck a directory of certificates")
     p_check.add_argument("directory", type=Path)

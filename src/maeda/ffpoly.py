@@ -8,7 +8,7 @@ F_p data are plain int64 numpy arrays of residues in [0, p), passed together
 with p: a matrix is a square 2-d array, and a polynomial is a 1-d array of
 coefficients, lowest degree first, whose last entry is its leading
 coefficient.  The modulus is checked once, where integer data enter F_p
-(:func:`reduce_matrix`, and :func:`~maeda.hecke.hecke_matrix_T2_mod_p`);
+(:func:`reduce_matrix`, and :func:`~maeda.hecke.hecke_matrix_T2`);
 the functions that take an F_p array trust the p passed with it.
 
 The modulus cap p < 2^20 keeps every intermediate inside int64: a product of
@@ -27,7 +27,6 @@ import math
 
 import numpy as np
 
-from .hecke import IntMatrix
 from .patterns import Pattern
 from .primes import MAX_MODULUS, check_modulus
 
@@ -41,13 +40,15 @@ __all__ = [
 ]
 
 
-def reduce_matrix(M: IntMatrix, p: int) -> np.ndarray:
-    """Entry-wise reduction of an integer matrix into [0, p), as int64.
+def reduce_matrix(M, p: int) -> np.ndarray:
+    """Entry-wise reduction of a square integer matrix into [0, p), as int64.
 
-    Raises ValueError unless p is a prime below 2^20.
+    M is anything whose ``rows`` are sequences of integers, such as the
+    exact matrix of :func:`maeda.oracles.hecke_matrix_T2`.  Raises
+    ValueError unless p is a prime below 2^20.
     """
     check_modulus(p)
-    d = M.d
+    d = len(M.rows)
     return np.fromiter(
         (e % p for row in M.rows for e in row), dtype=np.int64, count=d * d
     ).reshape(d, d)

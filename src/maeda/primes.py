@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import functools
-import itertools
+import math
+
+import numpy as np
 
 # Moduli for numpy arithmetic stay below this cap: a product of two residues
 # is below 2^40, so sums of fewer than 2^23 such products fit in int64.
@@ -18,13 +20,12 @@ def sieve_primes(bound: int) -> tuple[int, ...]:
     """All primes strictly below ``bound``, ascending."""
     if bound <= 2:
         return ()
-    flags = bytearray([1]) * bound
-    flags[0] = flags[1] = 0
-    for p in range(2, int(bound**0.5) + 1):
+    flags = np.ones(bound, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(bound - 1) + 1):
         if flags[p]:
-            start = p * p
-            flags[start::p] = bytes(len(range(start, bound, p)))
-    return tuple(itertools.compress(range(bound), flags))
+            flags[p * p :: p] = False
+    return tuple(np.flatnonzero(flags).tolist())
 
 
 def is_prime(n: int) -> bool:

@@ -41,15 +41,18 @@ from maeda.ffpoly import (
     is_squarefree,
     reduce_matrix,
 )
-from maeda.hecke import (
+from maeda.hecke import dim_cusp_forms
+from maeda.oracles import (
     charpoly_exact,
-    dim_cusp_forms,
+    delta,
+    eisenstein,
     hecke_matrix_T2,
     hecke_matrix_T2_spanning,
+    series_mul,
+    series_pow,
 )
 from maeda.patterns import PrimeType
 from maeda.primes import sieve_primes
-from maeda.qseries import delta, eisenstein, series_mul, series_pow
 
 T = PrimeType
 

@@ -1,5 +1,6 @@
 """Classification, witness search, certificates, and the rechecker."""
 
+import bisect
 import dataclasses
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from maeda import certify
 from maeda.certify import (
     MAX_WEIGHT,
+    Certificate,
     NothingToVerify,
     SearchExhausted,
     Witness,
@@ -18,7 +20,8 @@ from maeda.certify import (
     verify_weight,
 )
 from maeda.ffpoly import charpoly_mod_p, factorization_pattern, is_squarefree, reduce_matrix
-from maeda.hecke import dim_cusp_forms, hecke_matrix_T2
+from maeda.hecke import dim_cusp_forms
+from maeda.oracles import hecke_matrix_T2
 from maeda.patterns import Pattern, PrimeType
 from maeda.primes import is_prime, prime_count, sieve_primes
 
@@ -76,6 +79,12 @@ def test_sample_prime_uniform_chi_square():
 
 def test_prime_pool_size_below_2_20():
     assert prime_count(1 << 20) == 82025
+
+
+def test_sieve_primes_matches_primality_test():
+    primes = [n for n in range(5001) if is_prime(n)]
+    for bound in range(5002):
+        assert sieve_primes(bound) == tuple(primes[: bisect.bisect_left(primes, bound)]), bound
 
 
 def test_verify_weight_dim_one_vacuous():
@@ -248,20 +257,27 @@ def test_check_certificate_detects_composite_and_out_of_range():
     assert any("outside prime bound" in r for r in result.reasons)
 
 
+@pytest.fixture(scope="module")
+def cert48() -> dict[int, Certificate]:
+    """verify_weight(48, seed=s) for seeds 1 and 9, searched before any
+    test patches the builder, so that built_primes sees only the recheck."""
+    return {seed: verify_weight(48, seed=seed) for seed in (1, 9)}
+
+
 @pytest.fixture
 def built_primes(monkeypatch) -> list[int]:
-    """The primes at which check_certificate builds T2 mod p, in call order."""
+    """The primes at which T2 mod p is built while the test runs, in call order."""
     built: list[int] = []
-    real_build = certify.hecke_matrix_T2_mod_p
-    monkeypatch.setattr(certify, "hecke_matrix_T2_mod_p",
+    real_build = certify.hecke_matrix_T2
+    monkeypatch.setattr(certify, "hecke_matrix_T2",
                         lambda k, p: built.append(p) or real_build(k, p))
     return built
 
 
-def test_check_certificate_rejects_prime_bound_above_2_20(built_primes):
+def test_check_certificate_rejects_prime_bound_above_2_20(built_primes, cert48):
     # a hand-edited bound lets a prime >= 2^20 through the bound check; it
     # must become a FAIL reason, and no matrix may be built at that prime
-    cert = verify_weight(48, seed=9)
+    cert = cert48[9]
     witnesses = dict(cert.witnesses)
     witnesses[T.I] = dataclasses.replace(witnesses[T.I], prime=1048583)
     bad = dataclasses.replace(cert, prime_bound=4194304, witnesses=witnesses)
@@ -286,23 +302,42 @@ def test_check_certificate_refuses_huge_prime_before_primality_test(monkeypatch)
     assert tested and all(n < 1 << 20 for n in tested)
 
 
-def test_check_certificate_builds_once_per_distinct_prime(built_primes):
-    cert = verify_weight(48, seed=1)  # kinds III and IV share prime 298201
+def test_check_certificate_builds_once_per_distinct_prime(built_primes, cert48):
+    cert = cert48[1]  # kinds III and IV share prime 298201
     primes = [w.prime for w in cert.witnesses.values()]
     assert len(set(primes)) < len(primes)
     assert check_certificate(cert)
     assert sorted(built_primes) == sorted(set(primes))
 
 
-def test_check_certificate_refuses_weight_above_max(built_primes):
+def test_check_certificate_refuses_weight_above_max(built_primes, cert48):
     # a header consistent with an absurd weight must not start a build
-    cert = verify_weight(48, seed=9)
+    cert = cert48[9]
     k = 10**6
     bad = dataclasses.replace(cert, weight=k, dimension=dim_cusp_forms(k))
     result = check_certificate(bad)
     assert not result
     assert result.reasons == (f"weight {k} above {MAX_WEIGHT}",)
     assert built_primes == []
+
+
+@pytest.mark.parametrize(
+    "prime, bound, refusal",
+    [(15, 1 << 20, "composite"), (1048583, 1 << 20, "not below 2^20"),
+     (101, 100, "outside prime bound 100")],
+)
+def test_check_certificate_compares_pattern_size_at_refused_prime(
+    built_primes, cert48, prime, bound, refusal
+):
+    # a refused witness prime is never built at, but its pattern's size is
+    # still compared with d, so both faults are reported
+    cert = cert48[9]
+    witnesses = dict(cert.witnesses)
+    witnesses[T.I] = dataclasses.replace(witnesses[T.I], prime=prime, pattern=pat({2: 1}))
+    result = check_certificate(dataclasses.replace(cert, prime_bound=bound, witnesses=witnesses))
+    assert f"kind I witness {prime}: pattern size 2, expected 4" in result.reasons
+    assert f"kind I witness {prime}: {refusal}" in result.reasons
+    assert prime not in built_primes
 
 
 def test_check_certificate_missing_witness():

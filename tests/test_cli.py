@@ -496,3 +496,22 @@ def test_fuzzed_certificate_fails_check_and_never_raises(data):
     assert code == 1, (op, text)
     lines = out.getvalue().splitlines()
     assert lines[0].startswith("cert_48.json: FAIL (") and lines[1] == "0/1 certificates pass"
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"mode": "consecutive"}, {"seed": 2}, {"bound": 100003}],
+)
+def test_resume_redoes_a_certificate_from_a_different_run(tmp_path, capsys, change):
+    # a certificate that passes check but was made with another mode, seed
+    # or bound is not the run asked for: --resume must search again
+    assert cmd_verify(RunConfig(48, 48, tmp_path, seed=1)) == 0
+    config = RunConfig(48, 48, tmp_path, resume=True, **{"seed": 1, **change})
+    capsys.readouterr()
+    assert cmd_verify(config) == 0
+    assert "cached" not in capsys.readouterr().out
+    cert = read_certificate(certificate_path(tmp_path, 48))
+    seed = config.seed if config.mode == "random" else None
+    assert (cert.mode, cert.seed, cert.prime_bound) == (config.mode, seed, config.bound)
+    assert cmd_verify(config) == 0
+    assert "cached" in capsys.readouterr().out

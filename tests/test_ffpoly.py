@@ -19,7 +19,8 @@ from maeda.ffpoly import (
     is_squarefree,
     reduce_matrix,
 )
-from maeda.hecke import IntMatrix, charpoly_exact, hecke_matrix_T2, hecke_matrix_T2_mod_p
+from maeda import hecke
+from maeda.oracles import IntMatrix, charpoly_exact, hecke_matrix_T2
 from maeda.patterns import Pattern
 from maeda.primes import sieve_primes
 
@@ -43,7 +44,7 @@ def test_charpoly_returns_reduced_monic_array():
     assert_poly(f, 7)
     assert f.tolist() == [5, 6, 1]
     for k, p in ((48, 5), (120, 1048573)):
-        f = charpoly_mod_p(hecke_matrix_T2_mod_p(k, p), p)
+        f = charpoly_mod_p(hecke.hecke_matrix_T2(k, p), p)
         assert_poly(f, p)
         assert len(f) == hecke_matrix_T2(k).d + 1 and f[-1] == 1
 
@@ -323,7 +324,7 @@ def test_pattern_matches_sympy_on_T2_reductions(k):
     primes = sieve_primes(MAX_MODULUS)
     checked = 0
     for p in [2, 3, 5, 7] + [primes[rng.randrange(len(primes))] for _ in range(4)]:
-        fp = charpoly_mod_p(hecke_matrix_T2_mod_p(k, p), p)
+        fp = charpoly_mod_p(hecke.hecke_matrix_T2(k, p), p)
         # squarefreeness from the multiplicities: sympy's Poly.is_sqf calls
         # X^50 over F_2 squarefree
         factors = sympy_factor_degrees(fp.tolist(), p)

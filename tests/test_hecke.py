@@ -6,24 +6,22 @@ import numpy as np
 import pytest
 
 from _oracles import charpoly_det_expansion
-from maeda.hecke import (
-    IntMatrix,
-    charpoly_exact,
-    dim_cusp_forms,
-    hecke_coefficient,
-    hecke_matrix_T2,
-    hecke_matrix_T2_mod_p,
-    hecke_matrix_T2_spanning,
-)
+from maeda import hecke
 from maeda.ffpoly import reduce_matrix
-from maeda.primes import sieve_primes
-from maeda.qseries import (
+from maeda.hecke import dim_cusp_forms
+from maeda.oracles import (
+    IntMatrix,
     PrecisionError,
+    charpoly_exact,
     delta,
     eisenstein,
+    hecke_coefficient,
+    hecke_matrix_T2,
+    hecke_matrix_T2_spanning,
     series_mul,
     series_pow,
 )
+from maeda.primes import sieve_primes
 
 
 @pytest.mark.parametrize(
@@ -138,18 +136,26 @@ def test_t2_mod_p_matches_reduced_exact_matrix(k):
     exact = hecke_matrix_T2(k)
     primes = [2, 3, 5, 7, 1048573, *random.Random(k).sample(sieve_primes(1 << 20), 3)]
     for p in primes:
-        modp = hecke_matrix_T2_mod_p(k, p)
+        modp = hecke.hecke_matrix_T2(k, p)
         assert modp.dtype == np.int64 and modp.shape == (exact.d, exact.d)
         assert np.array_equal(modp, reduce_matrix(exact, p)), (k, p)
+
+
+@pytest.mark.parametrize("k", [200, 300, 400, 596])
+def test_t2_mod_p_matches_reduced_exact_matrix_at_first_primes(k):
+    # consecutive mode tests the smallest primes first, at every weight
+    exact = hecke_matrix_T2(k)
+    for p in sieve_primes(1 << 20)[:30]:
+        assert np.array_equal(hecke.hecke_matrix_T2(k, p), reduce_matrix(exact, p)), (k, p)
 
 
 @pytest.mark.parametrize("p", [1 << 20, 1048583, 4194319, 1, 9, 1048575])
 def test_t2_mod_p_rejects_large_or_composite_modulus(p):
     with pytest.raises(ValueError):
-        hecke_matrix_T2_mod_p(48, p)
+        hecke.hecke_matrix_T2(48, p)
 
 
 def test_t2_mod_p_rejects_bad_weights():
     for k in (13, 10, 0):
         with pytest.raises(ValueError):
-            hecke_matrix_T2_mod_p(k, 5)
+            hecke.hecke_matrix_T2(k, 5)

@@ -5,21 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maeda.qseries import (
+from maeda import qseries
+from maeda.oracles import (
     PrecisionError,
     QSeries,
     delta,
-    dim_cusp_forms,
     eisenstein,
-    MAX_PREC_MOD_P,
     miller_basis,
-    miller_basis_mod_p,
     one,
     series_add,
     series_mul,
     series_pow,
     spanning_set,
 )
+from maeda.qseries import MAX_PREC_MOD_P, dim_cusp_forms
 
 
 def test_qseries_basics():
@@ -169,27 +168,59 @@ def test_echelon_property_all_weights_to_300():
 def test_miller_basis_mod_p_is_exact_basis_reduced(k, p):
     for prec in (None, 2 * (dim_cusp_forms(k) + 2) + 7):
         exact = [[c % p for c in f.coeffs] for f in miller_basis(k, prec)]
-        modp = miller_basis_mod_p(k, p, prec)
+        modp = qseries.miller_basis(k, p, prec)
         assert modp.dtype == np.int64
         assert modp.tolist() == exact, (k, p, prec)
 
 
 def test_miller_basis_mod_p_empty_space():
-    assert miller_basis_mod_p(14, 5).shape == (0, 5)
+    assert qseries.miller_basis(14, 5).shape == (0, 5)
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, 15, 1 << 20, 1048583, -7])
 def test_miller_basis_mod_p_rejects_bad_modulus(p):
     with pytest.raises(ValueError):
-        miller_basis_mod_p(24, p)
+        qseries.miller_basis(24, p)
 
 
 def test_miller_basis_mod_p_rejects_bad_weight_and_precision():
     with pytest.raises(ValueError):
-        miller_basis_mod_p(13, 5)
+        qseries.miller_basis(13, 5)
     d = dim_cusp_forms(48)
     with pytest.raises(ValueError):
-        miller_basis_mod_p(48, 5, prec=2 * (d + 2) - 1)
+        qseries.miller_basis(48, 5, prec=2 * (d + 2) - 1)
     # refused before anything is allocated: int64 sums could overflow
     with pytest.raises(ValueError, match="2\\^23"):
-        miller_basis_mod_p(48, 5, prec=MAX_PREC_MOD_P)
+        qseries.miller_basis(48, 5, prec=MAX_PREC_MOD_P)
+
+
+def test_tables_are_exact_up_to_their_bound():
+    # sigma_5 is the largest entry: exact in int64 up to MAX_TABLE_PREC and
+    # refused above it, since sigma_5(6168) is the first value past 2^63
+    top = qseries.MAX_TABLE_PREC
+    sigma3, sigma5, euler = qseries._tables(top)
+    assert not sigma5.flags.writeable
+    exact3, exact5 = [0] * top, [0] * top
+    for e in range(1, top):
+        for n in range(e, top, e):
+            exact3[n] += e**3
+            exact5[n] += e**5
+    assert sigma3.tolist() == exact3 and sigma5.tolist() == exact5
+    assert sum(e**5 for e in range(1, 6169) if 6168 % e == 0) >= 1 << 63
+    prec = 300
+    assert [240 * int(s) for s in sigma3[1:prec]] == list(eisenstein(4, prec).coeffs[1:])
+    assert [-504 * int(s) for s in sigma5[1:prec]] == list(eisenstein(6, prec).coeffs[1:])
+    eta24 = series_pow(QSeries(int(c) for c in euler[:prec]), 24)
+    assert eta24.coeffs == delta(prec + 1).coeffs[1:]
+    with pytest.raises(ValueError, match="overflow"):
+        qseries._tables(top + 1)
+    with pytest.raises(ValueError, match="overflow"):
+        qseries.miller_basis(48, 5, prec=top + 1)
+
+
+@pytest.mark.parametrize("k", [12, 24, 26, 50, 96, 144, 300])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 691, 1048573])
+def test_spanning_set_is_exact_products_reduced(k, p):
+    prec = 2 * (dim_cusp_forms(k) + 2) + 1
+    exact = [[c % p for c in g.coeffs] for g in spanning_set(k, prec)]
+    assert qseries.spanning_set(k, p, prec).tolist() == exact
