@@ -31,7 +31,6 @@ import os
 import re
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -54,6 +53,8 @@ from .patterns import Pattern, PrimeType
 
 SCHEMA_VERSION = 1
 CERT_PREFIX = "cert_"
+# write_certificate's temporary file: .cert_<weight>.json.<pid>.tmp
+_TEMP_FILE = re.compile(rf"\.{CERT_PREFIX}\d+\.json\.(\d+)\.tmp")
 
 
 @dataclass
@@ -250,8 +251,25 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> Iterator[dict]:
     if jobs == 1:
         yield from map(_verify_task, tasks)
         return
+    from concurrent.futures import ProcessPoolExecutor  # about 20-30 ms to import
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         yield from pool.map(_verify_task, tasks)
+
+
+def _remove_stale_temp_files(out_dir: Path) -> None:
+    # a killed verify leaves the temporary file of write_certificate; remove
+    # those whose writer's pid is no live process
+    for path in out_dir.glob(f".{CERT_PREFIX}*.tmp"):
+        match = _TEMP_FILE.fullmatch(path.name)
+        if not match:
+            continue
+        try:
+            os.kill(int(match.group(1)), 0)
+        except ProcessLookupError:
+            path.unlink(missing_ok=True)
+        except (PermissionError, OverflowError):
+            pass  # alive under another user, or no valid pid: leave it
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -260,6 +278,7 @@ def cmd_verify(config: RunConfig) -> int:
         config.validate()
         config.out_dir = Path(config.out_dir)
         config.out_dir.mkdir(parents=True, exist_ok=True)
+        _remove_stale_temp_files(config.out_dir)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,13 +11,18 @@ coefficient.  The modulus is checked once, where integer data enter F_p
 (:func:`reduce_matrix`, and :func:`~maeda.hecke.hecke_matrix_T2`);
 the functions that take an F_p array trust the p passed with it.
 
-The modulus cap p < 2^20 keeps every intermediate inside int64: a product of
-two residues stays below 2^40, and every convolution or dot-product sum here
-adds at most n such products, n the matrix size or polynomial degree.  That
-includes the Frobenius step h @ Q, n products below 2^40 each.  With
-n < 2^23 every sum stays below 2^63, so numpy integer arithmetic is exact
-throughout; an n x n int64 matrix with n >= 2^23 would take 512 TiB, so
-the degree bound holds for any matrix that exists.
+Exactness.  With p < 2^20 a product of two residues is below 2^40.
+Series and polynomial products (``np.convolve``) run in int64 and sum at
+most n such products, n the length, so they are exact while n < 2^23;
+polynomials here have degree at most the matrix size, and an n x n matrix
+with n >= 2^23 would take 512 TiB.  Dense vector-matrix and matrix products
+run in float64 through BLAS (:func:`_matmul`).  float64 holds every integer
+below 2^53, so a sum of fewer than :data:`MAX_FLOAT_TERMS` = 2^13 products
+is exact, and :func:`_matmul` asserts that bound before each product.  The
+paper's range, k <= 14000, has d <= 1166 and series of length at most 2337.
+Float results return to residues as ``astype(np.int64) % p``: ``np.fmod``
+on float64 would be exact too, but measured about 30 times slower (150 ns
+against 4.6 ns per element).
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .patterns import Pattern
 from .primes import MAX_MODULUS, check_modulus
@@ -54,6 +60,18 @@ def reduce_matrix(M, p: int) -> np.ndarray:
     ).reshape(d, d)
 
 
+# float64 holds every integer below 2^53 and a product of two residues is
+# below 2^40, so a float64 dot product of residues is exact while it sums
+# fewer than 2^13 products.
+MAX_FLOAT_TERMS = 1 << 13
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    # a @ b mod p for float64 arrays of residues, as int64 residues; exact
+    assert a.shape[-1] < MAX_FLOAT_TERMS, "a float64 dot product could exceed 2^53"
+    return (a @ b).astype(np.int64) % p
+
+
 def charpoly_mod_p(A: np.ndarray, p: int) -> np.ndarray:
     """Monic characteristic polynomial of the square matrix A over F_p.
 
@@ -66,43 +84,48 @@ def charpoly_mod_p(A: np.ndarray, p: int) -> np.ndarray:
         raise ValueError("matrix must be square")
     d = h.shape[0]
     for m in range(1, d - 1):
-        col = h[m:, m - 1]
-        nonzero = np.nonzero(col)[0]
-        if nonzero.size == 0:
-            continue
-        r = m + int(nonzero[0])
-        if r != m:
-            h[[m, r], :] = h[[r, m], :]
+        # rows m.. are zero left of column m-1, so only columns m-1.. change
+        if not h[m, m - 1]:
+            nonzero = np.flatnonzero(h[m + 1 :, m - 1])
+            if nonzero.size == 0:
+                continue
+            r = m + 1 + int(nonzero[0])
+            h[[m, r], m - 1 :] = h[[r, m], m - 1 :]
             h[:, [m, r]] = h[:, [r, m]]
-        inv = pow(int(h[m, m - 1]), p - 2, p)
-        t = h[m + 1 :, m - 1] * inv % p
-        if np.any(t):
+        t = h[m + 1 :, m - 1] * pow(int(h[m, m - 1]), p - 2, p) % p
+        if t.any():
             # eliminate all of column m-1 below row m in one similarity step:
             # rows i -= t_i * row m, then column m += sum_i t_i * column i
-            h[m + 1 :, :] = (h[m + 1 :, :] - np.outer(t, h[m, :])) % p
-            h[:, m] = (h[:, m] + h[:, m + 1 :] @ t) % p
+            h[m + 1 :, m - 1 :] = (h[m + 1 :, m - 1 :] - np.outer(t, h[m, m - 1 :])) % p
+            right = h[:, m + 1 :].astype(np.float64)
+            h[:, m] = (h[:, m] + _matmul(right, t.astype(np.float64), p)) % p
     # charpoly of the leading m x m minor, by expansion along the last row:
-    # P[m] = (X - h_mm) P[m-1] - sum_k h_{k,m} (prod of subdiagonal run) P[k-1]
-    P = np.zeros((d + 1, d + 1), dtype=np.int64)
+    # P[m] = (X - h_mm) P[m-1] - sum_k h_{k,m} (prod of subdiagonal run) P[k-1],
+    # where run[k-1] = h[k, k-1] ... h[m-1, m-2] grows by one factor per m
+    P = np.zeros((d + 1, d + 1))  # float64 residues; row m is P[m]
     P[0, 0] = 1
+    run = np.zeros(d, dtype=np.int64)
     for m in range(1, d + 1):
-        prev = P[m - 1, :m]
-        cur = P[m, : m + 1]
+        prev = P[m - 1, :m].astype(np.int64)
+        cur = np.zeros(m + 1, dtype=np.int64)
         cur[1:] = prev
-        cur[:m] = (cur[:m] - int(h[m - 1, m - 1]) * prev) % p
+        cur[:m] -= h[m - 1, m - 1] * prev
         if m > 1:
-            coefs = np.zeros(m - 1, dtype=np.int64)
-            t = 1
-            for k in range(m - 1, 0, -1):
-                t = t * int(h[k, k - 1]) % p
-                coefs[k - 1] = int(h[k - 1, m - 1]) * t % p
-            if np.any(coefs):
-                cur[:m] = (cur[:m] - coefs @ P[: m - 1, :m]) % p
-    return P[d].copy()
+            run[m - 2] = 1
+            run[: m - 1] = run[: m - 1] * h[m - 1, m - 2] % p
+            coefs = h[: m - 1, m - 1] * run[: m - 1] % p
+            cur[:m] -= _matmul(coefs.astype(np.float64), P[: m - 1, :m], p)
+        P[m, : m + 1] = cur % p
+    return P[d].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
 # raw-array polynomial helpers (trimmed int64 arrays, lowest degree first)
+
+def _trim(a: np.ndarray) -> np.ndarray:
+    nonzero = np.flatnonzero(a)
+    return a[: nonzero[-1] + 1] if nonzero.size else a[:0]
+
 
 def _degree_scan(buf: np.ndarray, start: int) -> int:
     d = start
@@ -111,19 +134,57 @@ def _degree_scan(buf: np.ndarray, start: int) -> int:
     return d
 
 
+def _inverse(f: np.ndarray, p: int) -> np.ndarray:
+    # 1/f mod X^len(f) for residues f with f[0] = 1, by Newton's iteration:
+    # if f g = 1 + X^m e mod X^n, then 1/f = g - X^m g e mod X^n, n <= 2m
+    g = np.ones(1, dtype=np.int64)
+    while len(g) < len(f):
+        m, n = len(g), min(2 * len(g), len(f))
+        e = np.convolve(f[:n], g)[m:n] % p
+        g = np.concatenate((g, -np.convolve(g, e)[: n - m] % p))
+    return g
+
+
+def _divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    # quotient and remainder of trimmed a by trimmed b != 0.  The quotient's
+    # reversal is rev(a) / rev(b) mod X^(deg a - deg b + 1), one Newton
+    # inverse (von zur Gathen & Gerhard, Modern Computer Algebra, sec. 9.1)
+    db, n = len(b) - 1, len(a) - len(b) + 1  # n: length of the quotient
+    if n <= 0:
+        return a[:0].copy(), a.copy()
+    lead_inv = pow(int(b[-1]), p - 2, p)
+    rev_b = np.zeros(n, dtype=np.int64)
+    rev_b[: min(n, db + 1)] = b[::-1][:n] * lead_inv % p
+    q = np.convolve(a[::-1][:n], _inverse(rev_b, p))[:n] % p * lead_inv % p
+    q = q[::-1].copy()
+    if not db:
+        return q, a[:0].copy()
+    r = (a[:db] - np.convolve(q[:db], b[:db])[:db]) % p  # a - q b has degree < db
+    return q, _trim(r)
+
+
+def _exact_div(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    q, r = _divmod(a, b, p)
+    assert not r.size, "division was expected to be exact"
+    return q
+
+
 def _gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # monic gcd, run in two fixed buffers with explicit degree tracking so
-    # the long Euclid chains allocate nothing; entries above the tracked
-    # degree are stale and never read
-    size = max(len(a), len(b), 1)
+    # monic gcd.  A first step that drops the degree by more than one is one
+    # Newton division; the rest runs in two fixed buffers with explicit
+    # degree tracking so the long Euclid chains allocate nothing; entries
+    # above the tracked degree are stale and never read
+    a, b = _trim(a), _trim(b)
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) > 1 and len(a) > len(b) + 1:
+        a, b = b, _divmod(a, b, p)[1]
+    size = max(len(a), 1)
     buf_a = np.zeros(size, dtype=np.int64)
     buf_a[: len(a)] = a
     buf_b = np.zeros(size, dtype=np.int64)
     buf_b[: len(b)] = b
-    da = _degree_scan(buf_a, len(a) - 1)
-    db = _degree_scan(buf_b, len(b) - 1)
-    if da < db:
-        buf_a, buf_b, da, db = buf_b, buf_a, db, da
+    da, db = len(a) - 1, len(b) - 1
     while db >= 0:
         if db == 0:
             return np.ones(1, dtype=np.int64)
@@ -142,22 +203,8 @@ def _gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return g
 
 
-def _exact_div(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # quotient of a by monic b, asserting zero remainder
-    db = len(b) - 1
-    q = np.zeros(len(a) - db, dtype=np.int64)
-    r = a.copy()
-    for shift in range(len(a) - 1 - db, -1, -1):
-        t = int(r[shift + db]) % p
-        q[shift] = t
-        if t:
-            r[shift : shift + db + 1] = (r[shift : shift + db + 1] - t * b) % p
-    assert not np.any(r % p), "division was expected to be exact"
-    return q
-
-
 def _reduction_rows(f: np.ndarray, p: int) -> np.ndarray:
-    # rows[j] = X^(d+j) mod f for 0 <= j <= d-2, f monic of degree d >= 2
+    # float64 rows[j] = X^(d+j) mod f for 0 <= j <= d-2, f monic of degree d >= 2
     d = len(f) - 1
     rows = np.zeros((d - 1, d), dtype=np.int64)
     base = (-f[:d]) % p
@@ -170,20 +217,20 @@ def _reduction_rows(f: np.ndarray, p: int) -> np.ndarray:
         if top:
             r = (r + top * base) % p
         rows[j] = r
-    return rows
+    return rows.astype(np.float64)
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
     # a, b of length d (deg < d); result length d, reduced mod the monic f
-    # behind ``rows``.  Safe in int64: see module docstring.
+    # behind ``rows``.  Exact: see module docstring.
     d = len(a)
     c = np.convolve(a, b) % p
     if len(c) <= d:
         out = np.zeros(d, dtype=np.int64)
         out[: len(c)] = c
         return out
-    high = c[d:]
-    return (c[:d] + high @ rows[: len(high)]) % p
+    high = c[d:].astype(np.float64)
+    return (c[:d] + _matmul(high, rows[: len(high)], p)) % p
 
 
 def _powmod(a: np.ndarray, e: int, rows: np.ndarray, p: int) -> np.ndarray:
@@ -228,7 +275,8 @@ def distinct_degree_split(f: np.ndarray, p: int) -> dict[int, np.ndarray]:
 
     gcd(f, X^(p^i) - X) is the product of the factors whose degree divides i.
     The powers X^(p^i) mod f come from the Frobenius matrix Q, whose row r is
-    X^(rp) mod f: Frobenius is F_p-linear, so each round is one
+    X^(rp) mod f, each row the one before times the matrix of multiplication
+    by X^p mod f: Frobenius is F_p-linear, so each round is one
     vector-matrix product h -> h Q instead of a modular exponentiation (von
     zur Gathen & Shoup, "Computing Frobenius maps and factoring polynomials",
     1992).  The rounds are taken in blocks of ceil(sqrt(deg f)), and the
@@ -254,11 +302,16 @@ def distinct_degree_split(f: np.ndarray, p: int) -> dict[int, np.ndarray]:
     h = np.zeros(n, dtype=np.int64)
     h[1] = 1
     xp = _powmod(h, p, rows, p)
-    frob = np.zeros((n, n), dtype=np.int64)  # Q: row r is X^(rp) mod f
+    # row j of times_xp is X^j xp mod f: xp shifted by j, with its terms
+    # from X^n on reduced by the rows; then row r of Q is row r-1 times it
+    shifted = np.ascontiguousarray(sliding_window_view(
+        np.concatenate((np.zeros(n - 1), xp, np.zeros(n - 1))), 2 * n - 1)[::-1])
+    times_xp = (shifted[:, :n].astype(np.int64) + _matmul(shifted[:, n:], rows, p)) % p
+    times_xp = times_xp.astype(np.float64)
+    frob = np.zeros((n, n))  # Q: row r is X^(rp) mod f
     frob[0, 0] = 1
-    frob[1] = xp
-    for r in range(2, n):
-        frob[r] = _mulmod(frob[r - 1], xp, rows, p)
+    for r in range(1, n):
+        frob[r] = _matmul(frob[r - 1], times_xp, p)
     one = np.zeros(n, dtype=np.int64)
     one[0] = 1
     block = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
@@ -269,7 +322,7 @@ def distinct_degree_split(f: np.ndarray, p: int) -> dict[int, np.ndarray]:
         diffs = []  # X^(p^i) - X mod f for i in j+1..last
         prod = one
         for _ in range(j, last):
-            h = h @ frob % p  # Frobenius is F_p-linear: h(X) -> h(X^p)
+            h = _matmul(h.astype(np.float64), frob, p)  # h(X) -> h(X^p)
             hx = h.copy()
             hx[1] = (hx[1] - 1) % p
             diffs.append(hx)

@@ -4,9 +4,10 @@ On a weight-k q-expansion f = sum a_n q^n, (T2 f)_n = a_(2n) + 2^(k-1) a_(n/2),
 the second term only for even n.  Row i of the d x d matrix of T2 holds the
 first d coefficients of T2 f_i, which are its coordinates because the Miller
 basis is echelonized.  :func:`hecke_matrix_T2` reads them off
-:func:`~maeda.qseries.miller_basis` mod a prime p < 2^20, in int64; the
-witness search and the recheck both build T2 this way at each prime they
-test.  The tests hold it to the exact matrix of :mod:`maeda.oracles`.
+:func:`~maeda.qseries.miller_basis` mod a prime p < 2^20, exactly (the
+argument is in :mod:`maeda.ffpoly`); the witness search and the recheck
+both build T2 this way at each prime they test.  The tests hold it to the
+exact matrix of :mod:`maeda.oracles`.
 """
 
 from __future__ import annotations

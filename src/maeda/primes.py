@@ -8,7 +8,8 @@ import math
 import numpy as np
 
 # Moduli for numpy arithmetic stay below this cap: a product of two residues
-# is below 2^40, so sums of fewer than 2^23 such products fit in int64.
+# is below 2^40, so sums of fewer than 2^23 such products fit in int64, and
+# sums of fewer than 2^13 are exact in float64 (see maeda.ffpoly).
 MAX_MODULUS = 1 << 20
 
 # Witnesses proving primality for every n < 3.3 * 10^24 (Sorenson-Webster).

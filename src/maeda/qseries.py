@@ -9,14 +9,15 @@ as g_(i+1) = g_i w with w = Delta / E4^3 (one Newton inverse per prime).
 the unique echelon basis f_i = q^i + O(q^(d+1)): the exact integer basis of
 :mod:`maeda.oracles`, reduced mod p.
 
-Exactness in int64: a product of two residues is below 2^40, so a truncated
-product of two series, a sum of fewer than prec of them, is exact while
-prec < 2^23 (:data:`MAX_PREC_MOD_P`); so is the Newton step, whose factors
-lie in (-p, p).  The tables sigma_3(n), sigma_5(n) and prod (1 - q^n) do not
-depend on p and are built once per precision, exactly: sigma_5(n) < 1.04 n^5
-is below 2^63 only for n < 6168, so they refuse a precision above
-:data:`MAX_TABLE_PREC` = 6000.  The paper's range, k <= 14000, needs
-prec <= 2337.
+Exactness: the products are exact by the argument in :mod:`maeda.ffpoly`,
+int64 convolutions below 2^23 terms (:data:`MAX_PREC_MOD_P`) and float64
+vector-matrix products below 2^13 (:data:`~maeda.ffpoly.MAX_FLOAT_TERMS`):
+each spanning row is the one before times the upper-triangular Toeplitz
+matrix of w, and the elimination is one product per row.  The tables
+sigma_3(n), sigma_5(n) and prod (1 - q^n) do not depend on p and are built
+once per precision, exactly: sigma_5(n) < 1.04 n^5 is below 2^63 only for
+n < 6168, so they refuse a precision above :data:`MAX_TABLE_PREC` = 6000.
+The paper's range, k <= 14000, needs prec <= 2337.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ import functools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from .ffpoly import _inverse, _matmul
 from .primes import check_modulus
 
 # A truncated product of two residue series sums fewer than prec products,
@@ -111,18 +114,6 @@ def _pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
     return result
 
 
-def _inverse(f: np.ndarray, p: int) -> np.ndarray:
-    # 1/f for a residue series with f[0] = 1: Newton's g <- g (2 - f g),
-    # doubling the number of correct terms per step
-    g = np.ones(1, dtype=np.int64)
-    while len(g) < len(f):
-        n = min(2 * len(g), len(f))
-        fg = np.convolve(f[:n], g)[:n] % p
-        fg[0] -= 2
-        g = -np.convolve(g, fg)[:n] % p
-    return g
-
-
 def spanning_set(k: int, p: int, prec: int) -> np.ndarray:
     """The cusp forms g_i = Delta^i E6^b E4^(alpha_i) mod p, i = 1 .. d.
 
@@ -136,21 +127,24 @@ def spanning_set(k: int, p: int, prec: int) -> np.ndarray:
     if prec >= MAX_PREC_MOD_P:
         raise ValueError(f"precision {prec} would overflow int64 sums (need < 2^23)")
     sigma3, sigma5, euler = _tables(prec)
-    rows = np.empty((d, prec), dtype=np.int64)
+    rows = np.zeros((d, prec))  # float64 residues, for the products below
     if d == 0:
-        return rows
+        return rows.astype(np.int64)
     b, alpha_d = _weight_exponents(k)
     e4, e6 = 240 * (sigma3 % p) % p, -504 * (sigma5 % p) % p
     e4[0] = e6[0] = 1
     dl = np.zeros(prec, dtype=np.int64)
     dl[1:] = _pow(euler % p, 24, p)[:-1]
-    rows[0] = _mul(dl, _pow(e4, alpha_d + 3 * (d - 1), p), p)
-    if b:
-        rows[0] = _mul(rows[0], e6, p)
+    first = _mul(dl, _pow(e4, alpha_d + 3 * (d - 1), p), p)
+    rows[0] = _mul(first, e6, p) if b else first
     w = _mul(dl, _inverse(_pow(e4, 3, p), p), p)
+    # x @ toeplitz is the truncated product x w; contiguous, so BLAS takes it
+    toeplitz = np.ascontiguousarray(
+        sliding_window_view(np.concatenate((np.zeros(prec - 1), w)), prec)[::-1])
     for i in range(1, d):
-        rows[i] = _mul(rows[i - 1], w, p)
-    return rows
+        # g_i = q^i + ... and w = q + ..., so only columns > i can be nonzero
+        rows[i, i + 1 :] = _matmul(rows[i - 1, i:], toeplitz[i:, i + 1 :], p)
+    return rows.astype(np.int64)
 
 
 def miller_basis(k: int, p: int, prec: int | None = None) -> np.ndarray:
@@ -165,8 +159,10 @@ def miller_basis(k: int, p: int, prec: int | None = None) -> np.ndarray:
     """
     d, prec = _basis_size(k, prec)
     rows = spanning_set(k, p, prec)
+    done = rows.astype(np.float64)  # rows i+1.. are finished when row i starts
     for i in range(d - 2, -1, -1):
-        rows[i] = (rows[i] - rows[i, i + 2 : d + 1] @ rows[i + 1 :]) % p
+        rows[i] = (rows[i] - _matmul(done[i, i + 2 : d + 1], done[i + 1 :], p)) % p
+        done[i] = rows[i]
     assert np.array_equal(rows[:, 1 : d + 1], np.eye(d, dtype=np.int64)), (
         f"echelon property failed at k={k} mod {p}"
     )

@@ -5,6 +5,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -219,6 +222,20 @@ def test_write_certificate_is_atomic(tmp_path, monkeypatch):
         write_certificate(certificate_path(tmp_path, 60), verify_weight(60, seed=1))
     assert [p.name for p in tmp_path.iterdir()] == ["cert_48.json"]
     assert read_certificate(path) == cert
+
+
+def test_cmd_verify_removes_temp_files_of_dead_writers_only(tmp_path):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: no live process has its pid
+    dead = tmp_path / f".cert_48.json.{child.pid}.tmp"
+    live = tmp_path / f".cert_50.json.{os.getpid()}.tmp"
+    other = [tmp_path / ".cert_52.json.x.tmp", tmp_path / f"cert_54.json.{child.pid}.tmp",
+             tmp_path / f".cert_56.json.{child.pid}.tmp.bak"]
+    for path in (dead, live, *other):
+        path.write_text("partial")
+    assert cmd_verify(RunConfig(k_min=12, k_max=12, out_dir=tmp_path, seed=1)) == 0
+    assert not dead.exists()
+    assert live.exists() and all(path.exists() for path in other)
 
 
 def test_cmd_verify_prints_each_row_as_its_weight_finishes(tmp_path, capsys,

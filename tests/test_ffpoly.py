@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
-from _oracles import charpoly_det_expansion, poly_mul, trial_factor_pattern
+from _oracles import charpoly_det_expansion, poly_divmod, poly_mul, trial_factor_pattern
 from maeda.ffpoly import (
+    MAX_FLOAT_TERMS,
     MAX_MODULUS,
+    _divmod,
+    _matmul,
     charpoly_mod_p,
     distinct_degree_split,
     factorization_pattern,
@@ -100,6 +103,32 @@ def test_charpoly_against_det_expansion_oracle():
         got = charpoly_mod_p(np.array(rows, dtype=np.int64), p)
         expect = charpoly_det_expansion(rows, modulus=p)
         assert got.tolist() == expect, (p, rows)
+
+
+def pivot_path_matrices(rng: random.Random, d: int) -> dict[str, list[list[int]]]:
+    """Integer matrices whose Hessenberg reduction mod a small prime meets
+    zero pivots (a row swap) and all-zero columns (nothing to eliminate)."""
+    entry = lambda: rng.choice((-3, -2, -1, 1, 2, 3, 4))  # noqa: E731
+    cut = rng.randrange(2, d - 2)  # diagonal blocks [0, cut) and [cut, d)
+    block = [[0 if i >= cut > j else rng.randrange(-3, 4) for j in range(d)]
+             for i in range(d)]
+    perm = rng.sample(range(d), d)
+    return {
+        "sparse": [[entry() if rng.random() < 0.12 else 0 for _ in range(d)] for _ in range(d)],
+        "triangular": [[entry() if j >= i else 0 for j in range(d)] for i in range(d)],
+        "block-triangular": block,
+        "permuted": [[block[perm[i]][perm[j]] for j in range(d)] for i in range(d)],
+    }
+
+
+@pytest.mark.parametrize("d", [8, 13, 21, 30])
+def test_charpoly_mod_p_on_pivot_paths(d):
+    rng = random.Random(d)
+    for name, rows in pivot_path_matrices(rng, d).items():
+        exact = charpoly_exact(IntMatrix(tuple(map(tuple, rows))))
+        for p in (2, 3, 5):
+            got = charpoly_mod_p(np.array(rows, dtype=np.int64), p)
+            assert got.tolist() == [c % p for c in exact], (name, d, p)
 
 
 def test_charpoly_mod_p_matches_reduced_exact_charpoly():
@@ -365,3 +394,39 @@ def test_pattern_matches_planted_shape_and_sympy(planted, seed):
 @given(planted=planted_shapes(min_degree=60), seed=st.integers(0, 2**32))
 def test_split_multiply_back_at_degree_60(planted, seed):
     check_planted(random.Random(seed), *planted)
+
+
+# ---------------------------------------------------------------------------
+# the float64 product and Newton division behind the kernels above
+
+def test_float_product_is_exact_at_the_worst_case():
+    # every residue p - 1 at the largest p, summed over the longest series
+    # (prec = 2337 at k = 14000): 2337 (p - 1)^2 < 2^53
+    p, n = 1048573, 2337
+    a = np.full((2, n), p - 1, dtype=np.float64)
+    b = np.full((n, 3), p - 1, dtype=np.float64)
+    exact = n * (p - 1) ** 2
+    assert exact < 2**53 and int((a @ b)[0, 0]) == exact
+    assert _matmul(a, b, p).tolist() == [[exact % p] * 3] * 2
+    assert _matmul(a, b, p).dtype == np.int64
+
+
+def test_float_product_refuses_2_13_terms():
+    assert MAX_FLOAT_TERMS == 1 << 13
+    _matmul(np.ones(MAX_FLOAT_TERMS - 1), np.ones(MAX_FLOAT_TERMS - 1), 5)
+    with pytest.raises(AssertionError):
+        _matmul(np.ones(MAX_FLOAT_TERMS), np.ones(MAX_FLOAT_TERMS), 5)
+
+
+def test_divmod_matches_long_division_oracle():
+    rng = random.Random(9)
+    cases = [(2, 40, 1), (2, 3, 7), (3, 0, 0), (5, 12, 12), (101, 1, 1)]
+    cases += [(rng.choice([2, 3, 7, 101, 1048573]), rng.randrange(0, 80), rng.randrange(0, 40))
+              for _ in range(150)]
+    for p, deg_a, deg_b in cases:
+        a = [rng.randrange(p) for _ in range(deg_a)] + [rng.randrange(1, p)]
+        b = [rng.randrange(p) for _ in range(deg_b)] + [rng.randrange(1, p)]
+        q, r = _divmod(poly(p, a), poly(p, b), p)
+        assert_poly(q, p)
+        assert_poly(r, p)
+        assert (q.tolist(), r.tolist()) == poly_divmod(a, b, p), (p, a, b)

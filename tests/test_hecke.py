@@ -1,13 +1,15 @@
 """Dimension formula, Hecke action on expansions, and the T2 matrix."""
 
+import importlib.util
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _oracles import charpoly_det_expansion
 from maeda import hecke
-from maeda.ffpoly import reduce_matrix
+from maeda.ffpoly import charpoly_mod_p, reduce_matrix
 from maeda.hecke import dim_cusp_forms
 from maeda.oracles import (
     IntMatrix,
@@ -147,6 +149,25 @@ def test_t2_mod_p_matches_reduced_exact_matrix_at_first_primes(k):
     exact = hecke_matrix_T2(k)
     for p in sieve_primes(1 << 20)[:30]:
         assert np.array_equal(hecke.hecke_matrix_T2(k, p), reduce_matrix(exact, p)), (k, p)
+
+
+def _benchmark_oracle():
+    # perfbench/oracle.py shares no code with maeda: it builds T2 mod p in
+    # int64 on the raw product basis and takes a Krylov charpoly
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("k, p", [(2400, 1048573), (2400, 1048559), (4800, 1048571)])
+def test_t2_charpoly_at_large_d_matches_independent_int64_build(k, p):
+    # d = 200 and 400, primes just below 2^20: every float64 sum of the
+    # builder and the Hessenberg charpoly is at its largest here
+    oracle = _benchmark_oracle()
+    expected = oracle.charpoly_krylov(oracle.t2_matrix_mod_p(k, p), p)
+    assert charpoly_mod_p(hecke.hecke_matrix_T2(k, p), p).tolist() == expected
 
 
 @pytest.mark.parametrize("p", [1 << 20, 1048583, 4194319, 1, 9, 1048575])

@@ -25,6 +25,8 @@ def test_verify_and_check_never_import_the_oracles(tmp_path):
     codes, modules = json.loads(run.stdout.splitlines()[-1])
     assert codes == [0, 0]
     assert "maeda.cli" in modules and "maeda.oracles" not in modules
+    # only verify --jobs > 1 needs a process pool
+    assert "concurrent.futures.process" not in modules
 
 
 def test_every_traced_name_resolves():
