@@ -15,11 +15,11 @@ from maeda.certify import classify
 from maeda.density import (
     check_density_bounds,
     density,
-    enumerate_cycle_patterns,
     prime_reciprocal_bounds,
     prime_reciprocal_sum,
 )
 from maeda.cli import cmd_density
+from maeda.oracles import enumerate_cycle_patterns
 from maeda.patterns import PrimeType
 
 print("density table (exact and float), expected trials, bound status:\n")

@@ -11,8 +11,8 @@ packaged into certificates (:mod:`maeda.certify`), which are rechecked by
 the same steps at the witness primes only.  The expected search lengths
 come from cycle-pattern densities in the symmetric group
 (:mod:`maeda.density`), and :mod:`maeda.cli` drives batches.  The exact
-big-integer path, the tests' reference, is :mod:`maeda.oracles`; it is not
-re-exported here.
+big-integer path and the brute-force enumeration of S_d, the tests'
+references, are in :mod:`maeda.oracles`; it is not re-exported here.
 """
 
 from .certify import (
@@ -29,9 +29,6 @@ from .certify import (
 )
 from .density import (
     BoundReport,
-    CyclePattern,
-    DensityReport,
-    all_patterns,
     check_density_bounds,
     cycle_pattern_count,
     density,
@@ -39,8 +36,6 @@ from .density import (
     density_II,
     density_III,
     density_IV,
-    density_report,
-    enumerate_cycle_patterns,
     expected_trials,
     odd_order_count,
     prime_reciprocal_bounds,

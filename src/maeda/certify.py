@@ -31,10 +31,11 @@ primes, and ``perfbench/oracle.py``, which shares no code with this package.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .ffpoly import MAX_MODULUS, charpoly_mod_p, factorization_pattern, is_squarefree
 from .ffpoly import reduce_matrix  # noqa: F401  unused; perfbench/trace_child.py wraps it here
@@ -243,29 +244,23 @@ def verify_weight(
 
     if mode == "random":
         rng = random.Random(_weight_seed(seed, k))
+        primes: Iterable[int] = (sample_prime(rng, bound) for _ in itertools.count())
         cert_seed: int | None = seed
-    else:
-        consecutive = sieve_primes(bound)
+    else:  # a finite stream: the search may run out of primes below the bound
+        primes = sieve_primes(bound)
         cert_seed = None
 
     witnesses: dict[PrimeType, Witness] = {}
     trials = 0
-    while not required <= witnesses.keys():
-        if trials >= max_trials:
-            raise SearchExhausted(k, trials, required - witnesses.keys(), witnesses)
-        trials += 1
-        if mode == "random":
-            p = sample_prime(rng, bound)
-        elif trials <= len(consecutive):
-            p = consecutive[trials - 1]
-        else:  # consecutive mode ran out of primes below the bound
-            raise SearchExhausted(k, trials - 1, required - witnesses.keys(), witnesses)
+    for trials, p in enumerate(itertools.islice(primes, max_trials), start=1):
         pattern = _pattern_at(k, p)
-        if pattern is None:
-            continue
-        for kind in classify(pattern, d):
-            if kind not in witnesses:
-                witnesses[kind] = Witness(p, pattern, trials)
+        if pattern is not None:
+            for kind in classify(pattern, d):
+                witnesses.setdefault(kind, Witness(p, pattern, trials))
+        if required <= witnesses.keys():
+            break
+    else:
+        raise SearchExhausted(k, trials, required - witnesses.keys(), witnesses)
 
     duration_ms = round((time.perf_counter() - started) * 1000)
     return Certificate(

@@ -46,7 +46,7 @@ from .certify import (
     rule_errors,
     verify_weight,
 )
-from .density import density_report, expected_trials
+from .density import density, expected_trials, lower_bound
 from .ffpoly import MAX_MODULUS
 from .hecke import dim_cusp_forms
 from .patterns import Pattern, PrimeType
@@ -71,6 +71,8 @@ class RunConfig:
     resume: bool = False
 
     def validate(self) -> None:
+        if self.k_min < 0:
+            raise ValueError(f"weights start at 0, got {self.k_min}")
         if self.k_min > self.k_max:
             raise ValueError(f"empty weight range [{self.k_min}, {self.k_max}]")
         errors = rule_errors(self.k_max, self.mode, self.bound)
@@ -191,7 +193,11 @@ def read_certificate(path: Path) -> Certificate:
 
 
 def load_certificates(directory: Path) -> list[tuple[Path, Certificate | ValueError]]:
-    """All cert_*.json files in a directory, parsed or their parse error."""
+    """All cert_*.json files in a directory, parsed or their parse error.
+
+    A file that cannot be read (a directory, a dangling link) gets a
+    ValueError too, so each caller reports it and goes on.
+    """
     directory = Path(directory)
     out: list[tuple[Path, Certificate | ValueError]] = []
     for path in sorted(directory.glob(f"{CERT_PREFIX}*.json"), key=_cert_sort_key):
@@ -199,6 +205,8 @@ def load_certificates(directory: Path) -> list[tuple[Path, Certificate | ValueEr
             out.append((path, read_certificate(path)))
         except ValueError as exc:
             out.append((path, exc))
+        except OSError as exc:
+            out.append((path, ValueError(f"cannot read: {exc.strerror or exc}")))
     return out
 
 
@@ -386,22 +394,20 @@ class RatioRow:
 
 
 def ratio_rows(certs: Iterable[Certificate]) -> list[RatioRow]:
-    """N/E rows for kinds I/II/III of every non-vacuous certificate.
+    """N/E rows for kinds I/II/III of every certificate, where defined.
 
-    Vacuous (dimension-1) certificates are skipped: their searches are
-    degenerate and the densities are not defined at d = 1.
+    A kind gets no row at a dimension outside the domain of its density:
+    vacuous (dimension-1) certificates get none, and kind II none at d = 2.
     """
     rows = []
     for cert in certs:
-        if cert.dimension < 2:
-            continue
         for kind in REQUIRED_KINDS:
             witness = cert.witnesses.get(kind)
             if witness is None:
                 continue
             try:
                 expected = expected_trials(kind, cert.dimension)
-            except ValueError:  # kind II has no defined density at d = 2
+            except ValueError:  # outside the domain of the density
                 continue
             rows.append(RatioRow(
                 weight=cert.weight,
@@ -496,12 +502,6 @@ def cmd_stats(directory: Path, out_dir: Path | None = None) -> int:
 # ---------------------------------------------------------------------------
 # density
 
-def _fmt_fraction(x: Fraction | None) -> str:
-    if x is None:
-        return "-"
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def cmd_density(d_min: int, d_max: int) -> int:
     """Print exact/float densities, expected trials, and bound status."""
     if not 1 <= d_min <= d_max:
@@ -512,28 +512,25 @@ def cmd_density(d_min: int, d_max: int) -> int:
               f"{'E_I':>8} {'E_II':>8} {'E_III':>8}  {'II>1/(4*sqrt d)':>16} "
               f"{'III>1/(3*log d)':>16}")
     print(header)
+    widths = {PrimeType.I: 12, PrimeType.II: 16, PrimeType.III: 16, PrimeType.IV: 12}
     for d in range(d_min, d_max + 1):
-        report = density_report(d)
-
-        def cell(kind: PrimeType, width: int) -> str:
-            exact = report.exact[kind]
-            if exact is None:
-                return f"{'-':>{width}}"
-            return f"{_fmt_fraction(exact):>{width - 7}}={float(exact):6.4f}"
-
-        def trials_cell(kind: PrimeType) -> str:
-            t = report.trials[kind]
-            return f"{t:8.2f}" if t is not None else f"{'-':>8}"
-
-        dii = report.approx[PrimeType.II]
-        diii = report.approx[PrimeType.III]
-        ii_ok = "-" if dii is None else ("ok" if dii > report.bound_II else "VIOLATED")
-        iii_ok = "-" if (diii is None or d <= 10) else (
-            "ok" if diii > report.bound_III else "VIOLATED")
-        print(f"{d:>5}  {cell(PrimeType.I, 12)} {cell(PrimeType.II, 16)} "
-              f"{cell(PrimeType.III, 16)} {cell(PrimeType.IV, 12)}  "
-              f"{trials_cell(PrimeType.I)} {trials_cell(PrimeType.II)} "
-              f"{trials_cell(PrimeType.III)}  {ii_ok:>16} {iii_ok:>16}")
+        exact: dict[PrimeType, Fraction] = {}
+        for kind in PrimeType:
+            try:
+                exact[kind] = density(kind, d)
+            except ValueError:  # outside the domain of the density: "-"
+                pass
+        cells = [f"{exact[kind]!s:>{w - 7}}={float(exact[kind]):6.4f}" if kind in exact
+                 else f"{'-':>{w}}" for kind, w in widths.items()]
+        trials = [f"{expected_trials(kind, d):8.2f}" if kind in exact else f"{'-':>8}"
+                  for kind in REQUIRED_KINDS]
+        checks = []
+        for kind in (PrimeType.II, PrimeType.III):
+            bound = lower_bound(kind, d)
+            checks.append("-" if bound is None else
+                          "ok" if float(exact[kind]) > bound else "VIOLATED")
+        print(f"{d:>5}  {' '.join(cells)}  {' '.join(trials)}  "
+              f"{checks[0]:>16} {checks[1]:>16}")
     return 0
 
 

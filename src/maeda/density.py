@@ -12,25 +12,21 @@ densities are therefore pure permutation counts:
   D_IV(d)  = 1/(d-1) for d >= 3, and 1/2 at d = 2  (fixed point + (d-1)-cycle)
 
 Everything is exact (fractions and integers); floats appear only in the
-reporting layer and in the large-d lower-bound sweeps, which run in log
-space.  A brute-force enumeration of S_d (d <= 8) serves as the oracle for
-all of the closed forms.
+claimed lower bounds (:func:`lower_bound`) and in their large-d sweep, which
+runs in log space.  A brute-force enumeration of S_d (d <= 8) in
+:mod:`maeda.oracles` serves as the oracle for all of the closed forms.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .patterns import Pattern, PrimeType
 from .primes import sieve_primes
 
 __all__ = [
-    "CyclePattern",
     "MEISSEL_MERTENS",
     "cycle_pattern_count",
     "odd_order_count",
@@ -40,19 +36,13 @@ __all__ = [
     "density_IV",
     "density",
     "expected_trials",
-    "enumerate_cycle_patterns",
-    "all_patterns",
+    "lower_bound",
     "check_density_bounds",
     "BoundViolation",
     "BoundReport",
     "prime_reciprocal_sum",
     "prime_reciprocal_bounds",
-    "DensityReport",
-    "density_report",
 ]
-
-# Cycle patterns share their shape with polynomial factorization patterns.
-CyclePattern = Pattern
 
 MEISSEL_MERTENS = 0.2614972128476427837554
 
@@ -160,47 +150,17 @@ def expected_trials(kind: PrimeType, d: int) -> float:
     return float(1 / density(kind, d))
 
 
-def _cycle_pattern_of(perm: tuple[int, ...]) -> Pattern:
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        lengths.append(length)
-    return Pattern.from_lengths(lengths)
+def lower_bound(kind: PrimeType, d: int) -> float | None:
+    """The claimed lower bound on density(kind, d), or None where none is.
 
-
-def enumerate_cycle_patterns(d: int) -> dict[Pattern, int]:
-    """Tally the cycle pattern of every element of S_d (d <= 8, brute force)."""
-    if not 0 <= d <= 8:
-        raise ValueError("direct enumeration is capped at d = 8")
-    counts: Counter[Pattern] = Counter()
-    for perm in itertools.permutations(range(d)):
-        counts[_cycle_pattern_of(perm)] += 1
-    return dict(counts)
-
-
-def _partitions(n: int, cap: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first, *rest)
-
-
-def all_patterns(d: int) -> Iterator[Pattern]:
-    """All cycle patterns of S_d, one per integer partition of d."""
-    if d < 0:
-        raise ValueError("d must be non-negative")
-    for parts in _partitions(d, d):
-        yield Pattern.from_lengths(parts)
+    1/(4 sqrt d) for kind II at d > 2, and 1/(3 log d) for kind III at
+    d > 10; the sweep :func:`check_density_bounds` shows that each holds.
+    """
+    if kind == PrimeType.II and d > 2:
+        return 1.0 / (4.0 * math.sqrt(d))
+    if kind == PrimeType.III and d > 10:
+        return 1.0 / (3.0 * math.log(d))
+    return None
 
 
 @dataclass(frozen=True)
@@ -226,43 +186,38 @@ class BoundReport:
 
 
 def check_density_bounds(d_max: int) -> BoundReport:
-    """Sweep D_II(d) > 1/(4 sqrt d) for 2 < d <= d_max and
-    D_III(d) > 1/(3 log d) for 10 < d <= d_max.
+    """Sweep D_II(d) and D_III(d) against :func:`lower_bound` for d <= d_max.
 
     Runs in float/log space: D_II follows the exact even-step recurrence
     D(e+2) = D(e) * (e-1)/e applied to logarithms, and D_III uses prefix
     sums of prime reciprocals, so the sweep is linear in d_max and immune
     to factorial overflow.
     """
-    if d_max < 11:
-        raise ValueError("the kind III bound only applies for d > 10; use d_max >= 11")
-    violations: list[BoundViolation] = []
+    if lower_bound(PrimeType.III, d_max) is None:
+        raise ValueError(f"the kind III bound is not defined at any d <= {d_max}")
+    reciprocals = [0.0] * (d_max + 1)  # sum of 1/l over primes l <= x
+    primes = set(sieve_primes(d_max + 1))
+    for x in range(1, d_max + 1):
+        reciprocals[x] = reciprocals[x - 1] + (1.0 / x if x in primes else 0.0)
 
     log_dii = math.log(0.5)  # D_II at even step e = 2
     e = 2
-    checked_ii = 0
+    checked = {PrimeType.II: 0, PrimeType.III: 0}
+    violations: list[BoundViolation] = []
     for d in range(3, d_max + 1):
         while e + 2 <= d:
             log_dii += math.log(e - 1) - math.log(e)
             e += 2
-        checked_ii += 1
-        bound = 1.0 / (4.0 * math.sqrt(d))
-        if log_dii <= math.log(bound):
-            violations.append(BoundViolation(d, PrimeType.II, math.exp(log_dii), bound))
-
-    prefix = [0.0] * (d_max + 1)
-    primes = set(sieve_primes(d_max + 1))
-    for x in range(1, d_max + 1):
-        prefix[x] = prefix[x - 1] + (1.0 / x if x in primes else 0.0)
-    checked_iii = 0
-    for d in range(11, d_max + 1):
-        checked_iii += 1
-        diii = prefix[d] - prefix[d // 2]
-        bound = 1.0 / (3.0 * math.log(d))
-        if diii <= bound:
-            violations.append(BoundViolation(d, PrimeType.III, diii, bound))
-
-    return BoundReport(d_max, checked_ii, checked_iii, tuple(violations))
+        values = {PrimeType.II: math.exp(log_dii),
+                  PrimeType.III: reciprocals[d] - reciprocals[d // 2]}
+        for kind, value in values.items():
+            bound = lower_bound(kind, d)
+            if bound is not None:
+                checked[kind] += 1
+                if value <= bound:
+                    violations.append(BoundViolation(d, kind, value, bound))
+    return BoundReport(d_max, checked[PrimeType.II], checked[PrimeType.III],
+                       tuple(violations))
 
 
 def prime_reciprocal_sum(x: float) -> float:
@@ -286,42 +241,3 @@ def prime_reciprocal_bounds(x: float) -> tuple[float, float]:
     lower = loglog + MEISSEL_MERTENS - (1.0 / (10.0 * lg**2) + 4.0 / (15.0 * lg**3))
     upper = loglog + MEISSEL_MERTENS + 1.0 / lg**2
     return lower, upper
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    """Exact and float densities at one dimension, with expected trial counts.
-
-    Kinds outside their domain (everything at d = 1, kind II at d <= 2) map
-    to None.  ``bound_II``/``bound_III`` carry the reference lower bounds
-    1/(4 sqrt d) and 1/(3 log d) for side-by-side display.
-    """
-
-    d: int
-    exact: dict[PrimeType, Fraction | None]
-    approx: dict[PrimeType, float | None]
-    trials: dict[PrimeType, float | None]
-    bound_II: float
-    bound_III: float
-
-
-def density_report(d: int) -> DensityReport:
-    """Assemble the density table row for dimension d >= 1."""
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    exact: dict[PrimeType, Fraction | None] = {}
-    for kind, fn in _DENSITY.items():
-        try:
-            exact[kind] = fn(d)
-        except ValueError:
-            exact[kind] = None
-    approx = {k: (float(v) if v is not None else None) for k, v in exact.items()}
-    trials = {k: (float(1 / v) if v else None) for k, v in exact.items()}
-    return DensityReport(
-        d=d,
-        exact=exact,
-        approx=approx,
-        trials=trials,
-        bound_II=1.0 / (4.0 * math.sqrt(d)),
-        bound_III=1.0 / (3.0 * math.log(d)) if d > 1 else math.inf,
-    )

@@ -1,21 +1,26 @@
-"""Exact big-integer reference path: q-expansions, the Miller basis, and T2.
+"""Exact reference paths: q-expansions, the Miller basis and T2 over the
+integers, and the cycle patterns of S_d by brute force.
 
 Only the tests and the demos import this module; they check the product's
 mod-p builder (:func:`maeda.hecke.hecke_matrix_T2`) against
-``reduce_matrix(hecke_matrix_T2(k), p)`` here.  A truncated q-expansion is
-a :class:`QSeries` of arbitrary-precision integers; binary operations
-truncate to the shorter operand.  The Miller basis is eliminated with unit
-pivots, so everything stays in the integers.  The build grows about as
-d^3.5 (about 2.4 s at d = 100 on one core).
+``reduce_matrix(hecke_matrix_T2(k), p)`` here, and the closed-form densities
+of :mod:`maeda.density` against :func:`enumerate_cycle_patterns`.  A
+truncated q-expansion is a :class:`QSeries` of arbitrary-precision integers;
+binary operations truncate to the shorter operand.  The Miller basis is
+eliminated with unit pivots, so everything stays in the integers.  The build
+grows about as d^3.5 (about 2.4 s at d = 100 on one core).
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .qseries import _basis_size, _weight_exponents, dim_cusp_forms
+from .patterns import Pattern
+from .qseries import _basis_size, _weight_exponents
 
 
 class PrecisionError(IndexError):
@@ -195,9 +200,7 @@ def spanning_set(k: int, prec: int) -> list[QSeries]:
     a weight-k cusp form with expansion q^i + higher order, so the set spans
     the cusp space and is triangular with unit leading coefficients.
     """
-    if k % 2 or k < 12:
-        raise ValueError(f"weight must be even and at least 12, got {k}")
-    d = dim_cusp_forms(k)
+    d, _ = _basis_size(k)
     if prec < 1:
         raise ValueError("precision must be positive")
     if d == 0:
@@ -227,7 +230,7 @@ def spanning_set(k: int, prec: int) -> list[QSeries]:
     return out
 
 
-def miller_basis(k: int, prec: int | None = None) -> list[QSeries]:
+def miller_basis(k: int) -> list[QSeries]:
     """Echelon basis f_1 .. f_d of the weight-k cusp space.
 
     Each f_i has integer coefficients with coefficient of q^j equal to 1 for
@@ -235,11 +238,10 @@ def miller_basis(k: int, prec: int | None = None) -> list[QSeries]:
     :func:`spanning_set` by upward elimination; since each pivot coefficient
     is 1, the elimination stays in the integers.
 
-    ``prec`` counts stored coefficients and defaults to 2(d+2)+1, one guard
-    term past twice the dimension-plus-two window the Hecke action reads;
-    anything below 2(d+2) is rejected as insufficient.
+    Each stores 2(d+2)+1 coefficients, the precision of
+    :func:`maeda.qseries.miller_basis`.
     """
-    d, prec = _basis_size(k, prec)
+    d, prec = _basis_size(k)
     rows = [list(g.coeffs) for g in spanning_set(k, prec)]
     for i in range(d):
         fi = rows[i]
@@ -320,12 +322,8 @@ def hecke_matrix_T2(k: int) -> IntMatrix:
     coefficient of T2 f_i, which equals the j-th coordinate because the
     basis is echelonized.  A zero-dimensional space yields the 0x0 matrix.
     """
-    if k % 2 or k < 12:
-        raise ValueError(f"weight must be even and at least 12, got {k}")
-    d = dim_cusp_forms(k)
-    if d == 0:
-        return IntMatrix(())
     basis = miller_basis(k)
+    d = len(basis)
     return IntMatrix(
         tuple(
             tuple(int(hecke_coefficient(2, n, k, f)) for n in range(1, d + 1))
@@ -342,12 +340,9 @@ def hecke_matrix_T2_spanning(k: int) -> IntMatrix:
     triangular system that the leading terms q^i of the products impose.
     The two matrices are similar, so they share a characteristic polynomial.
     """
-    if k % 2 or k < 12:
-        raise ValueError(f"weight must be even and at least 12, got {k}")
-    d = dim_cusp_forms(k)
+    d, prec = _basis_size(k)
     if d == 0:
         return IntMatrix(())
-    prec = 2 * (d + 2) + 1
     gs = spanning_set(k, prec)
     rows = []
     for g in gs:
@@ -391,3 +386,49 @@ def charpoly_exact(M: IntMatrix) -> tuple[int, ...]:
         assert rem == 0, "trace recurrence must divide exactly over the integers"
         out[d - step] = c
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# cycle patterns of S_d by brute force
+
+def _cycle_pattern_of(perm: tuple[int, ...]) -> Pattern:
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        lengths.append(length)
+    return Pattern.from_lengths(lengths)
+
+
+def enumerate_cycle_patterns(d: int) -> dict[Pattern, int]:
+    """Tally the cycle pattern of every element of S_d (d <= 8, brute force)."""
+    if not 0 <= d <= 8:
+        raise ValueError("direct enumeration is capped at d = 8")
+    counts: Counter[Pattern] = Counter()
+    for perm in itertools.permutations(range(d)):
+        counts[_cycle_pattern_of(perm)] += 1
+    return dict(counts)
+
+
+def _partitions(n: int, cap: int) -> Iterator[tuple[int, ...]]:
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, cap), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first, *rest)
+
+
+def all_patterns(d: int) -> Iterator[Pattern]:
+    """All cycle patterns of S_d, one per integer partition of d."""
+    if d < 0:
+        raise ValueError("d must be non-negative")
+    for parts in _partitions(d, d):
+        yield Pattern.from_lengths(parts)

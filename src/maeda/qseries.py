@@ -9,15 +9,17 @@ as g_(i+1) = g_i w with w = Delta / E4^3 (one Newton inverse per prime).
 the unique echelon basis f_i = q^i + O(q^(d+1)): the exact integer basis of
 :mod:`maeda.oracles`, reduced mod p.
 
-Exactness: the products are exact by the argument in :mod:`maeda.ffpoly`,
-int64 convolutions below 2^23 terms (:data:`MAX_PREC_MOD_P`) and float64
-vector-matrix products below 2^13 (:data:`~maeda.ffpoly.MAX_FLOAT_TERMS`):
-each spanning row is the one before times the upper-triangular Toeplitz
-matrix of w, and the elimination is one product per row.  The tables
-sigma_3(n), sigma_5(n) and prod (1 - q^n) do not depend on p and are built
-once per precision, exactly: sigma_5(n) < 1.04 n^5 is below 2^63 only for
-n < 6168, so they refuse a precision above :data:`MAX_TABLE_PREC` = 6000.
-The paper's range, k <= 14000, needs prec <= 2337.
+The precision is fixed by k: 2(d+2)+1 coefficients, one guard term past the
+2(d+2) the Hecke action reads.  The tables sigma_3(n), sigma_5(n) and
+prod (1 - q^n) do not depend on p and are built once per precision, exactly:
+sigma_5(n) < 1.04 n^5 is below 2^63 only for n < 6168, so they refuse a
+precision above :data:`MAX_TABLE_PREC` = 6000.  That is the one bound
+enforced here, and it implies the exactness bounds of :mod:`maeda.ffpoly`:
+int64 convolutions of fewer than 2^23 terms, and float64 products of fewer
+than 2^13 (:data:`~maeda.ffpoly.MAX_FLOAT_TERMS`).  Each spanning row is the
+one before times the upper-triangular Toeplitz matrix of w, and the
+elimination is one product per row.  The paper's range, k <= 14000, needs
+prec <= 2337.
 """
 
 from __future__ import annotations
@@ -31,11 +33,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .ffpoly import _inverse, _matmul
 from .primes import check_modulus
 
-# A truncated product of two residue series sums fewer than prec products,
-# each below 2^40, so it is exact in int64 while prec < 2^23.
-MAX_PREC_MOD_P = 1 << 23
-
-# sigma_5(n) < 1.04 n^5 < 2^63 for n <= 6000 (the first overflow is at 6168).
+# sigma_5(n) < 1.04 n^5 < 2^63 for n <= 6000 (the first overflow is at 6168);
+# below 2^13, it also keeps every int64 and float64 sum of products exact.
 MAX_TABLE_PREC = 6000
 
 
@@ -63,16 +62,12 @@ def _weight_exponents(k: int) -> tuple[int, int]:
     return b, alpha_d
 
 
-def _basis_size(k: int, prec: int | None) -> tuple[int, int]:
-    # (d, prec) for a Miller basis of weight k, with the default precision
+def _basis_size(k: int) -> tuple[int, int]:
+    # (d, prec) of the Miller basis of weight k
     if k % 2 or k < 12:
         raise ValueError(f"weight must be even and at least 12, got {k}")
     d = dim_cusp_forms(k)
-    if prec is None:
-        prec = 2 * (d + 2) + 1
-    if prec < 2 * (d + 2):
-        raise ValueError(f"precision {prec} insufficient for weight {k} (need >= {2 * (d + 2)})")
-    return d, prec
+    return d, 2 * (d + 2) + 1
 
 
 @functools.lru_cache(maxsize=4)
@@ -114,18 +109,17 @@ def _pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
     return result
 
 
-def spanning_set(k: int, p: int, prec: int) -> np.ndarray:
+def spanning_set(k: int, p: int) -> np.ndarray:
     """The cusp forms g_i = Delta^i E6^b E4^(alpha_i) mod p, i = 1 .. d.
 
     With b = (k/2) mod 2 and alpha_i = (k - 12i - 6b)/4, g_i is a weight-k
     cusp form q^i + O(q^(i+1)).  Returns a d x prec int64 array whose row
-    i-1 is g_i mod p.  Raises ValueError unless p is a prime below 2^20, k
-    an even weight of at least 12, and 2(d+2) <= prec <= MAX_TABLE_PREC.
+    i-1 is g_i mod p, prec = 2(d+2)+1.  Raises ValueError unless p is a
+    prime below 2^20, k an even weight of at least 12, and prec at most
+    :data:`MAX_TABLE_PREC`.
     """
     check_modulus(p)
-    d, prec = _basis_size(k, prec)
-    if prec >= MAX_PREC_MOD_P:
-        raise ValueError(f"precision {prec} would overflow int64 sums (need < 2^23)")
+    d, prec = _basis_size(k)
     sigma3, sigma5, euler = _tables(prec)
     rows = np.zeros((d, prec))  # float64 residues, for the products below
     if d == 0:
@@ -147,18 +141,17 @@ def spanning_set(k: int, p: int, prec: int) -> np.ndarray:
     return rows.astype(np.int64)
 
 
-def miller_basis(k: int, p: int, prec: int | None = None) -> np.ndarray:
+def miller_basis(k: int, p: int) -> np.ndarray:
     """Echelon basis f_1 .. f_d of the weight-k cusp space, mod p < 2^20.
 
-    Returns a d x prec int64 array of residues whose row i-1 is f_i mod p,
-    with coefficient 1 at q^i and 0 at every other q^j, 1 <= j <= d.
-    ``prec`` defaults to 2(d+2)+1, one guard term past the window the Hecke
-    action reads; below 2(d+2) it is refused.  The elimination runs up from
-    f_d = g_d: f_i is g_i minus its coefficients at q^(i+1) .. q^d times the
-    finished rows below, one vector-matrix product per row.
+    Returns a d x (2(d+2)+1) int64 array of residues whose row i-1 is f_i
+    mod p, with coefficient 1 at q^i and 0 at every other q^j, 1 <= j <= d.
+    The elimination runs up from f_d = g_d: f_i is g_i minus its
+    coefficients at q^(i+1) .. q^d times the finished rows below, one
+    vector-matrix product per row.
     """
-    d, prec = _basis_size(k, prec)
-    rows = spanning_set(k, p, prec)
+    rows = spanning_set(k, p)
+    d = rows.shape[0]
     done = rows.astype(np.float64)  # rows i+1.. are finished when row i starts
     for i in range(d - 2, -1, -1):
         rows[i] = (rows[i] - _matmul(done[i, i + 2 : d + 1], done[i + 1 :], p)) % p

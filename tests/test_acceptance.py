@@ -30,7 +30,6 @@ from maeda.density import (
     check_density_bounds,
     cycle_pattern_count,
     density,
-    enumerate_cycle_patterns,
     odd_order_count,
     prime_reciprocal_bounds,
     prime_reciprocal_sum,
@@ -46,6 +45,7 @@ from maeda.oracles import (
     charpoly_exact,
     delta,
     eisenstein,
+    enumerate_cycle_patterns,
     hecke_matrix_T2,
     hecke_matrix_T2_spanning,
     series_mul,

@@ -142,6 +142,17 @@ def test_verify_weight_exhaustion_reports_progress():
         verify_weight(96, seed=1, max_trials=0)
     assert info.value.weight == 96
     assert info.value.missing == {T.I, T.II, T.III}
+    assert str(info.value) == "weight 96: no witness of kind I, II, III within 0 trials"
+    # the cap counts trials, and the witnesses found before it are kept
+    with pytest.raises(SearchExhausted) as info:
+        verify_weight(96, seed=1, max_trials=3)
+    assert str(info.value) == "weight 96: no witness of kind I within 3 trials"
+    assert {kind: w.trial for kind, w in info.value.found.items()} == {T.II: 2, T.III: 3}
+    # consecutive mode runs out of the 10 primes below 30
+    with pytest.raises(SearchExhausted) as info:
+        verify_weight(96, mode="consecutive", bound=30)
+    assert str(info.value) == "weight 96: no witness of kind I, III within 10 trials"
+    assert info.value.found[T.II].prime == 23
 
 
 def test_type_one_witness_doubles_as_type_three_when_d_prime():

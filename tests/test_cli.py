@@ -264,6 +264,37 @@ def test_cmd_verify_rejects_bad_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_refuses_a_negative_first_weight(tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["verify", "--from", "-6", "--to", "12", "--out", str(tmp_path)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err == "error: weights start at 0, got -6\n"
+    assert not any(tmp_path.iterdir())
+    RunConfig(k_min=0, k_max=12, out_dir=tmp_path).validate()
+
+
+@pytest.mark.parametrize(
+    "make_unreadable",
+    [Path.mkdir, lambda path: path.symlink_to(path.with_name("absent.json"))],
+    ids=["directory", "dangling-symlink"],
+)
+def test_check_and_stats_report_an_unreadable_certificate(small_run, tmp_path, capsys,
+                                                          make_unreadable):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "cert_48.json").write_bytes(certificate_path(small_run, 48).read_bytes())
+    make_unreadable(run / "cert_24.json")
+    capsys.readouterr()
+    assert main(["check", str(run)]) == 1
+    out = capsys.readouterr().out
+    assert "cert_24.json: FAIL (cannot read: " in out and "cert_48.json: ok" in out
+    assert "1/2 certificates pass" in out
+    assert main(["stats", str(run), "--out", str(tmp_path / "stats")]) == 0
+    printed = capsys.readouterr()
+    assert "warning: skipping cert_24.json (cannot read: " in printed.err
+    assert "ratio rows from 1 certificate(s)" in printed.out
+
+
 def test_cmd_check_passes_on_fresh_run(small_run, capsys):
     assert cmd_check(small_run) == 0
     out = capsys.readouterr().out
@@ -306,8 +337,9 @@ def test_cmd_check_reports_malformed_file_but_continues(small_run, tmp_path, cap
 
 def test_cmd_check_turns_check_error_into_fail_line(small_run, tmp_path, capsys, monkeypatch):
     # with the weight cap lifted, weight 50331648 passes every header check,
-    # but its basis would need 2^23 coefficients: the builder refuses it with
-    # a ValueError, which must fail that file alone
+    # but its basis would need 2^23 coefficients, far above the 6000 the
+    # builder allows: it refuses with a ValueError, which must fail that
+    # file alone
     monkeypatch.setattr(certify, "MAX_WEIGHT", 1 << 62)
     mixed = tmp_path / "mixed"
     mixed.mkdir()
@@ -410,6 +442,40 @@ def test_cmd_density_table(capsys):
     # D_II is undefined below d = 3
     assert lines[2].split()[2] == "-"
     assert cmd_density(3, 2) == 2
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: density and stats print and write exactly these bytes
+
+GOLDEN = Path(__file__).parent / "golden"
+STATS_FILES = ("stats.csv", "histogram_I.csv", "histogram_II.csv", "histogram_III.csv")
+
+
+@pytest.fixture(scope="module")
+def mixed_run(small_run, tmp_path_factory) -> Path:
+    # random-mode certificates for 12..60 (seed 1), consecutive-mode for 62..100
+    out = tmp_path_factory.mktemp("mixed")
+    for path in small_run.glob("cert_*.json"):
+        (out / path.name).write_bytes(path.read_bytes())
+    assert cmd_verify(RunConfig(k_min=62, k_max=100, out_dir=out, mode="consecutive")) == 0
+    return out
+
+
+def test_density_output_is_golden(capsys):
+    capsys.readouterr()
+    assert main(["density", "--from", "1", "--to", "120"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "density_1_120.txt").read_text()
+
+
+def test_stats_outputs_are_golden(mixed_run, tmp_path, capsys):
+    out = tmp_path / "stats"
+    capsys.readouterr()
+    assert main(["stats", str(mixed_run), "--out", str(out)]) == 0
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    assert printed.out.replace(str(out), "<out>") == (GOLDEN / "stats_stdout.txt").read_text()
+    for name in STATS_FILES:
+        assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_main_entry_points(tmp_path, capsys, monkeypatch):

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from maeda.certify import classify
+from maeda.cli import cmd_density
 from maeda.density import (
-    all_patterns,
     check_density_bounds,
     cycle_pattern_count,
     density,
@@ -15,13 +15,13 @@ from maeda.density import (
     density_II,
     density_III,
     density_IV,
-    density_report,
-    enumerate_cycle_patterns,
     expected_trials,
+    lower_bound,
     odd_order_count,
     prime_reciprocal_bounds,
     prime_reciprocal_sum,
 )
+from maeda.oracles import all_patterns, enumerate_cycle_patterns
 from maeda.patterns import Pattern, PrimeType
 
 T = PrimeType
@@ -162,13 +162,18 @@ def test_prime_reciprocal_sum_and_bounds():
         prime_reciprocal_bounds(1.0)
 
 
-def test_density_report_shapes():
-    r1 = density_report(1)
-    assert all(v is None for v in r1.exact.values())
-    r2 = density_report(2)
-    assert r2.exact[T.II] is None
-    assert r2.exact[T.I] == Fraction(1, 2)
-    r5 = density_report(5)
-    assert r5.exact[T.III] == Fraction(8, 15)
-    assert r5.trials[T.I] == 5.0
-    assert r5.bound_II == pytest.approx(1 / (4 * math.sqrt(5)))
+def test_density_report_shapes(capsys):
+    # lower_bound is defined exactly where the sweep checks it
+    assert [d for d in range(1, 14) if lower_bound(T.II, d) is not None] == list(range(3, 14))
+    assert [d for d in range(1, 14) if lower_bound(T.III, d) is not None] == [11, 12, 13]
+    assert lower_bound(T.I, 50) is None and lower_bound(T.IV, 50) is None
+    assert lower_bound(T.II, 5) == pytest.approx(1 / (4 * math.sqrt(5)))
+    assert lower_bound(T.III, 11) == pytest.approx(1 / (3 * math.log(11)))
+    # the density table prints "-" outside each kind's domain and bound
+    assert cmd_density(1, 11) == 0
+    rows = {int(line.split()[0]): line.split() for line in capsys.readouterr().out.splitlines()[1:]}
+    assert rows[1][1:] == ["-"] * 9
+    assert rows[2][1:] == ["1/2=0.5000", "-", "1/2=0.5000", "1/2=0.5000", "2.00", "-", "2.00",
+                           "-", "-"]
+    assert rows[5][3] == "8/15=0.5333" and rows[5][5] == "5.00"
+    assert rows[10][-2:] == ["ok", "-"] and rows[11][-2:] == ["ok", "ok"]

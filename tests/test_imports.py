@@ -12,18 +12,20 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_verify_and_check_never_import_the_oracles(tmp_path):
+    # nor do stats and density, which run last in the same process
     script = (
         "import json, sys\n"
         "from maeda.cli import main\n"
         f"codes = [main(['verify', '--from', '48', '--to', '48', '--seed', '1', "
-        f"'--out', {str(tmp_path)!r}]), main(['check', {str(tmp_path)!r}])]\n"
+        f"'--out', {str(tmp_path)!r}]), main(['check', {str(tmp_path)!r}]), "
+        f"main(['stats', {str(tmp_path)!r}]), main(['density', '--from', '1', '--to', '12'])]\n"
         "print(json.dumps([codes, sorted(sys.modules)]))\n"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True)
     codes, modules = json.loads(run.stdout.splitlines()[-1])
-    assert codes == [0, 0]
+    assert codes == [0, 0, 0, 0]
     assert "maeda.cli" in modules and "maeda.oracles" not in modules
     # only verify --jobs > 1 needs a process pool
     assert "concurrent.futures.process" not in modules

@@ -18,7 +18,7 @@ from maeda.oracles import (
     series_pow,
     spanning_set,
 )
-from maeda.qseries import MAX_PREC_MOD_P, dim_cusp_forms
+from maeda.qseries import dim_cusp_forms
 
 
 def test_qseries_basics():
@@ -139,12 +139,6 @@ def test_miller_basis_rejects_bad_weights(k):
         miller_basis(k)
 
 
-def test_miller_basis_rejects_insufficient_precision():
-    d = dim_cusp_forms(48)
-    with pytest.raises(ValueError):
-        miller_basis(48, prec=2 * (d + 2) - 1)
-
-
 def test_spanning_set_leading_terms():
     for k in (12, 24, 36, 50, 72):
         gs = spanning_set(k, 2 * (dim_cusp_forms(k) + 2) + 1)
@@ -166,11 +160,11 @@ def test_echelon_property_all_weights_to_300():
 @pytest.mark.parametrize("k", [12, 24, 26, 50, 96, 144, 300])
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 691, 1048573])
 def test_miller_basis_mod_p_is_exact_basis_reduced(k, p):
-    for prec in (None, 2 * (dim_cusp_forms(k) + 2) + 7):
-        exact = [[c % p for c in f.coeffs] for f in miller_basis(k, prec)]
-        modp = qseries.miller_basis(k, p, prec)
-        assert modp.dtype == np.int64
-        assert modp.tolist() == exact, (k, p, prec)
+    exact = [[c % p for c in f.coeffs] for f in miller_basis(k)]
+    modp = qseries.miller_basis(k, p)
+    assert modp.dtype == np.int64
+    assert modp.shape == (dim_cusp_forms(k), 2 * (dim_cusp_forms(k) + 2) + 1)
+    assert modp.tolist() == exact, (k, p)
 
 
 def test_miller_basis_mod_p_empty_space():
@@ -186,12 +180,11 @@ def test_miller_basis_mod_p_rejects_bad_modulus(p):
 def test_miller_basis_mod_p_rejects_bad_weight_and_precision():
     with pytest.raises(ValueError):
         qseries.miller_basis(13, 5)
-    d = dim_cusp_forms(48)
-    with pytest.raises(ValueError):
-        qseries.miller_basis(48, 5, prec=2 * (d + 2) - 1)
-    # refused before anything is allocated: int64 sums could overflow
-    with pytest.raises(ValueError, match="2\\^23"):
-        qseries.miller_basis(48, 5, prec=MAX_PREC_MOD_P)
+    # d = 2998 needs 6001 coefficients, one past MAX_TABLE_PREC: refused
+    # before anything is allocated
+    assert 2 * (dim_cusp_forms(35976) + 2) + 1 == qseries.MAX_TABLE_PREC + 1
+    with pytest.raises(ValueError, match="precision 6001 above 6000"):
+        qseries.miller_basis(35976, 5)
 
 
 def test_tables_are_exact_up_to_their_bound():
@@ -214,8 +207,6 @@ def test_tables_are_exact_up_to_their_bound():
     assert eta24.coeffs == delta(prec + 1).coeffs[1:]
     with pytest.raises(ValueError, match="overflow"):
         qseries._tables(top + 1)
-    with pytest.raises(ValueError, match="overflow"):
-        qseries.miller_basis(48, 5, prec=top + 1)
 
 
 @pytest.mark.parametrize("k", [12, 24, 26, 50, 96, 144, 300])
@@ -223,4 +214,4 @@ def test_tables_are_exact_up_to_their_bound():
 def test_spanning_set_is_exact_products_reduced(k, p):
     prec = 2 * (dim_cusp_forms(k) + 2) + 1
     exact = [[c % p for c in g.coeffs] for g in spanning_set(k, prec)]
-    assert qseries.spanning_set(k, p, prec).tolist() == exact
+    assert qseries.spanning_set(k, p).tolist() == exact
