@@ -12,45 +12,13 @@ the same steps at the witness primes only.  The expected search lengths
 come from cycle-pattern densities in the symmetric group
 (:mod:`maeda.density`), and :mod:`maeda.cli` drives batches.  The exact
 big-integer path and the brute-force enumeration of S_d, the tests'
-references, are in :mod:`maeda.oracles`; it is not re-exported here.
+references, are in :mod:`maeda.oracles`.  The top level re-exports the
+search, the recheck and the steps of one trial; everything else is imported
+from its module.
 """
 
-from .certify import (
-    Certificate,
-    CheckResult,
-    NothingToVerify,
-    SearchExhausted,
-    Witness,
-    check_certificate,
-    classify,
-    covered_index,
-    sample_prime,
-    verify_weight,
-)
-from .density import (
-    BoundReport,
-    check_density_bounds,
-    cycle_pattern_count,
-    density,
-    density_I,
-    density_II,
-    density_III,
-    density_IV,
-    expected_trials,
-    odd_order_count,
-    prime_reciprocal_bounds,
-    prime_reciprocal_sum,
-)
-from .ffpoly import (
-    MAX_MODULUS,
-    charpoly_mod_p,
-    distinct_degree_split,
-    factorization_pattern,
-    is_squarefree,
-    reduce_matrix,
-)
-from .hecke import dim_cusp_forms, hecke_matrix_T2
-from .patterns import Pattern, PrimeType
-from .qseries import miller_basis, spanning_set
+from .certify import check_certificate, verify_weight
+from .ffpoly import charpoly_mod_p, factorization_pattern, is_squarefree
+from .hecke import hecke_matrix_T2
 
 __version__ = "0.1.0"

@@ -152,6 +152,18 @@ def rule_errors(weight: int, mode: str, bound: int) -> dict[str, str]:
     return {name: reason for name, (ok, reason) in rules.items() if not ok}
 
 
+def header_error(cert: Certificate) -> str | None:
+    """Why nothing in ``cert`` can be read at its dimension, or None.
+
+    Its weight breaks the weight rule of :func:`rule_errors`, or its
+    dimension is not that of the weight's cusp space (or is 0).
+    """
+    error = rule_errors(cert.weight, cert.mode, cert.prime_bound).get("weight")
+    if error is None and not 0 < cert.dimension == dim_cusp_forms(cert.weight):
+        return REASON_WRONG_DIMENSION
+    return error
+
+
 def _required(d: int) -> set[PrimeType]:
     # a linear charpoly needs only kind I; II and III hold vacuously
     return {PrimeType.I} if d == 1 else set(REQUIRED_KINDS)
@@ -282,19 +294,18 @@ def check_certificate(cert: Certificate) -> CheckResult:
     At each distinct recorded witness prime only, builds T2 mod p and
     recomputes the characteristic polynomial, the pattern, and the
     classification: a handful of modular charpolys instead of a search.  The
-    header is checked against :func:`rule_errors` (a weight above
-    :data:`MAX_WEIGHT` fails at once), the seed against the mode, and the
+    header is checked against :func:`header_error` (a weight above
+    :data:`MAX_WEIGHT` or a wrong dimension fails at once) and
+    :func:`rule_errors`, the seed against the mode, and the
     trial totals against the witnesses.  Every witness's pattern size and
     prime are validated before any build; a prime that fails is reported
     and never built at.
     """
-    errors = rule_errors(cert.weight, cert.mode, cert.prime_bound)
-    if "weight" in errors:
-        return CheckResult(False, (errors["weight"],))
-    d = dim_cusp_forms(cert.weight)
-    if cert.dimension != d or d == 0:
-        return CheckResult(False, (REASON_WRONG_DIMENSION,))
-    reasons = list(errors.values())
+    error = header_error(cert)
+    if error:
+        return CheckResult(False, (error,))
+    d = cert.dimension
+    reasons = list(rule_errors(cert.weight, cert.mode, cert.prime_bound).values())
     if (cert.seed is None) != (cert.mode == "consecutive"):
         reasons.append(f"seed {cert.seed} does not fit mode {cert.mode!r}")
     if cert.vacuous != (d == 1):

@@ -31,8 +31,10 @@ import os
 import re
 import statistics
 import sys
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -43,6 +45,7 @@ from .certify import (
     SearchExhausted,
     Witness,
     check_certificate,
+    header_error,
     rule_errors,
     verify_weight,
 )
@@ -53,6 +56,8 @@ from .patterns import Pattern, PrimeType
 
 SCHEMA_VERSION = 1
 CERT_PREFIX = "cert_"
+SUMMARY_FIELDS = ["weight", "dimension", "status", *(f"witness_{t}" for t in PrimeType),
+                  *(f"trials_{t}" for t in REQUIRED_KINDS), "duration_ms"]
 # write_certificate's temporary file: .cert_<weight>.json.<pid>.tmp
 _TEMP_FILE = re.compile(rf"\.{CERT_PREFIX}\d+\.json\.(\d+)\.tmp")
 
@@ -82,8 +87,7 @@ class RunConfig:
             raise ValueError("jobs must be at least 1")
 
     def weights(self) -> list[int]:
-        start = self.k_min if self.k_min % 2 == 0 else self.k_min + 1
-        return list(range(start, self.k_max + 1, 2))
+        return list(range(self.k_min + self.k_min % 2, self.k_max + 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -91,15 +95,11 @@ class RunConfig:
 
 def certificate_to_json(cert: Certificate) -> str:
     """Canonical JSON text for a certificate (stable key and pattern order)."""
-    witnesses = {}
-    for kind in PrimeType:
-        w = cert.witnesses.get(kind)
-        if w is not None:
-            witnesses[kind.value] = {
-                "prime": w.prime,
-                "pattern": [[length, mult] for length, mult in w.pattern.parts],
-                "trial": w.trial,
-            }
+    witnesses = {
+        kind.value: {"prime": w.prime, "pattern": [list(part) for part in w.pattern.parts],
+                     "trial": w.trial}
+        for kind in PrimeType if (w := cert.witnesses.get(kind)) is not None
+    }
     payload = {
         "weight": cert.weight,
         "dimension": cert.dimension,
@@ -218,51 +218,59 @@ def _cert_sort_key(path: Path) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 # verify
 
-def _verify_task(args: tuple[int, str, int, int, str, bool]) -> dict:
-    """Verify one weight and write its certificate; returns a summary row."""
-    k, mode, seed, bound, out_dir, resume = args
+@dataclass(frozen=True)
+class WeightResult:
+    """One weight's certificate, or why it has none: an empty cusp space, or
+    the message of :class:`SearchExhausted`, whose ``__init__`` does not
+    survive the pickling that ``--jobs`` puts every result through."""
+
+    weight: int
+    dimension: int
+    cert: Certificate | None = None
+    error: str | None = None
+    cached: bool = False
+
+    @property
+    def status(self) -> str:
+        return "exhausted" if self.error else "vacuous" if self.cert is None else "certified"
+
+
+def _verify_task(k: int, config: RunConfig) -> WeightResult:
+    """Verify one weight and write its certificate."""
     d = dim_cusp_forms(k)
-    row = {"weight": k, "dimension": d, "status": "", "mode": mode,
-           "witnesses": {}, "trials": {}, "duration_ms": ""}
     if d == 0:
-        row["status"] = "vacuous"
-        return row
-    path = certificate_path(Path(out_dir), k)
-    cert = None
-    if resume and path.exists():
+        return WeightResult(k, d)
+    path = certificate_path(config.out_dir, k)
+    if config.resume and path.exists():
+        asked = (k, config.mode, config.seed if config.mode == "random" else None,
+                 config.bound)
         try:
-            existing = read_certificate(path)
-            asked = (k, mode, seed if mode == "random" else None, bound)
-            found = (existing.weight, existing.mode, existing.seed, existing.prime_bound)
-            if found == asked and check_certificate(existing):
-                cert = existing
-                row["cached"] = True
+            cert = read_certificate(path)
+            if (cert.weight, cert.mode, cert.seed, cert.prime_bound) == asked and \
+                    check_certificate(cert):
+                return WeightResult(k, d, cert, cached=True)
         except ValueError:
-            cert = None
-    if cert is None:
-        try:
-            cert = verify_weight(k, mode=mode, seed=seed, bound=bound)
-        except SearchExhausted as exc:
-            row["status"] = "exhausted"
-            row["error"] = str(exc)
-            return row
-        write_certificate(path, cert)
-    row["status"] = "certified"
-    row["witnesses"] = {t.value: w.prime for t, w in cert.witnesses.items()}
-    row["trials"] = {t.value: n for t, n in cert.trials_total.items()}
-    row["duration_ms"] = cert.duration_ms
-    return row
+            pass
+    try:
+        cert = verify_weight(k, mode=config.mode, seed=config.seed, bound=config.bound)
+    except SearchExhausted as exc:
+        return WeightResult(k, d, error=str(exc))
+    write_certificate(path, cert)
+    return WeightResult(k, d, cert)
 
 
-def _run_tasks(tasks: list[tuple], jobs: int) -> Iterator[dict]:
-    # rows in task (weight) order, each as soon as it and those before it are done
-    if jobs == 1:
-        yield from map(_verify_task, tasks)
+def _run_tasks(config: RunConfig) -> Iterator[WeightResult]:
+    # results in weight order, each as soon as it and those before it are done
+    weights = config.weights()
+    # under fork, the pool starts all its workers at the first submit
+    jobs = min(config.jobs, len(weights))
+    if jobs <= 1:
+        yield from (_verify_task(k, config) for k in weights)
         return
     from concurrent.futures import ProcessPoolExecutor  # about 20-30 ms to import
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(_verify_task, tasks)
+        yield from pool.map(_verify_task, weights, repeat(config))
 
 
 def _remove_stale_temp_files(out_dir: Path) -> None:
@@ -291,53 +299,47 @@ def cmd_verify(config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    tasks = [
-        (k, config.mode, config.seed, config.bound, str(config.out_dir), config.resume)
-        for k in config.weights()
-    ]
-    rows = []
+    results = []
     try:
-        for row in _run_tasks(tasks, config.jobs):
-            print(_describe_row(row), flush=True)  # progress: one row per weight done
-            rows.append(row)
-        _write_summary(config.out_dir / "summary.csv", rows)
+        for result in _run_tasks(config):
+            print(_describe(result), flush=True)  # progress: one row per weight done
+            results.append(result)
+        _write_csv(config.out_dir / "summary.csv", SUMMARY_FIELDS, map(_summary_row, results))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    failed = [r for r in rows if r["status"] == "exhausted"]
-    certified = sum(1 for r in rows if r["status"] == "certified")
-    vacuous = sum(1 for r in rows if r["status"] == "vacuous")
-    print(f"{certified} weight(s) certified, {vacuous} with empty cusp space, "
-          f"{len(failed)} failed")
-    return 1 if failed else 0
+    tally = Counter(result.status for result in results)
+    print(f"{tally['certified']} weight(s) certified, {tally['vacuous']} with empty cusp "
+          f"space, {tally['exhausted']} failed")
+    return 1 if tally["exhausted"] else 0
 
 
-def _describe_row(row: dict) -> str:
-    k, d, status = row["weight"], row["dimension"], row["status"]
-    if status == "vacuous":
-        return f"k={k:>5}  d={d:<3} vacuous (no cusp forms)"
-    if status == "exhausted":
-        return f"k={k:>5}  d={d:<3} FAILED: {row.get('error', 'search exhausted')}"
-    label = "cached" if row.get("cached") else status
-    wit = " ".join(f"{t}={p}" for t, p in sorted(row["witnesses"].items()))
-    return f"k={k:>5}  d={d:<3} {label:<9} {wit}"
+def _describe(result: WeightResult) -> str:
+    head = f"k={result.weight:>5}  d={result.dimension:<3}"
+    if result.status == "vacuous":
+        return f"{head} vacuous (no cusp forms)"
+    if result.status == "exhausted":
+        return f"{head} FAILED: {result.error}"
+    found = " ".join(f"{t}={w.prime}" for t in PrimeType if (w := result.cert.witnesses.get(t)))
+    return f"{head} {'cached' if result.cached else 'certified':<9} {found}"
 
 
-def _write_summary(path: Path, rows: Iterable[dict]) -> None:
-    fields = ["weight", "dimension", "status",
-              "witness_I", "witness_II", "witness_III", "witness_IV",
-              "trials_I", "trials_II", "trials_III", "duration_ms"]
+def _summary_row(result: WeightResult) -> list:
+    cert = result.cert
+    witnesses = cert.witnesses if cert else {}
+    trials = cert.trials_total if cert else {}
+    return [result.weight, result.dimension, result.status,
+            *(witnesses[t].prime if t in witnesses else "" for t in PrimeType),
+            *(trials.get(t, "") for t in REQUIRED_KINDS),
+            cert.duration_ms if cert else ""]
+
+
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([
-                row["weight"], row["dimension"], row["status"],
-                *(row["witnesses"].get(t, "") for t in ("I", "II", "III", "IV")),
-                *(row["trials"].get(t, "") for t in ("I", "II", "III")),
-                row["duration_ms"],
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -377,24 +379,9 @@ def cmd_check(directory: Path) -> int:
 # ---------------------------------------------------------------------------
 # stats
 
-@dataclass(frozen=True)
-class RatioRow:
-    """Trials-to-expectation ratio for one witness kind of one certificate."""
-
-    weight: int
-    dimension: int
-    mode: str
-    kind: PrimeType
-    trials: int
-    expected: float
-
-    @property
-    def ratio(self) -> float:
-        return self.trials / self.expected
-
-
-def ratio_rows(certs: Iterable[Certificate]) -> list[RatioRow]:
-    """N/E rows for kinds I/II/III of every certificate, where defined.
+def ratio_rows(certs: Iterable[Certificate]) -> list[tuple[Certificate, PrimeType, float]]:
+    """(certificate, kind, expected trials) for kinds I/II/III of every
+    certificate, where defined, in weight order.
 
     A kind gets no row at a dimension outside the domain of its density:
     vacuous (dimension-1) certificates get none, and kind II none at d = 2.
@@ -402,30 +389,22 @@ def ratio_rows(certs: Iterable[Certificate]) -> list[RatioRow]:
     rows = []
     for cert in certs:
         for kind in REQUIRED_KINDS:
-            witness = cert.witnesses.get(kind)
-            if witness is None:
+            if kind not in cert.witnesses:
                 continue
             try:
-                expected = expected_trials(kind, cert.dimension)
+                rows.append((cert, kind, expected_trials(kind, cert.dimension)))
             except ValueError:  # outside the domain of the density
                 continue
-            rows.append(RatioRow(
-                weight=cert.weight,
-                dimension=cert.dimension,
-                mode=cert.mode,
-                kind=kind,
-                trials=witness.trial,
-                expected=expected,
-            ))
-    rows.sort(key=lambda r: (r.weight, r.kind.value))
+    rows.sort(key=lambda row: (row[0].weight, row[1].value))
     return rows
 
 
-def ratio_summary(rows: Sequence[RatioRow]) -> dict[tuple[str, PrimeType], dict[str, float]]:
+def ratio_summary(rows: Iterable[tuple[Certificate, PrimeType, float]]
+                  ) -> dict[tuple[str, PrimeType], dict[str, float]]:
     """min/max/median/mean of N/E per (mode, kind)."""
     grouped: dict[tuple[str, PrimeType], list[float]] = {}
-    for row in rows:
-        grouped.setdefault((row.mode, row.kind), []).append(row.ratio)
+    for cert, kind, expected in rows:
+        grouped.setdefault((cert.mode, kind), []).append(cert.witnesses[kind].trial / expected)
     return {
         key: {
             "count": len(vals),
@@ -438,13 +417,6 @@ def ratio_summary(rows: Sequence[RatioRow]) -> dict[tuple[str, PrimeType], dict[
     }
 
 
-def _histogram(values: Iterable[float], width: float = 0.1) -> list[tuple[float, float, int]]:
-    counts: dict[int, int] = {}
-    for v in values:
-        counts[math.floor(v / width)] = counts.get(math.floor(v / width), 0) + 1
-    return [(i * width, (i + 1) * width, counts[i]) for i in sorted(counts)]
-
-
 def cmd_stats(directory: Path, out_dir: Path | None = None) -> int:
     """Write stats.csv and per-kind N/E histograms; print summary tables."""
     directory = Path(directory)
@@ -454,29 +426,31 @@ def cmd_stats(directory: Path, out_dir: Path | None = None) -> int:
         return 2
     certs = []
     for path, cert in load_certificates(directory):
-        if isinstance(cert, ValueError):
-            print(f"warning: skipping {path.name} ({cert})", file=sys.stderr)
+        # a dimension that is not the weight's would put rows under the wrong d,
+        # and a huge one would hang in the factorials of the densities
+        error = cert if isinstance(cert, ValueError) else header_error(cert)
+        if error:
+            print(f"warning: skipping {path.name} ({error})", file=sys.stderr)
         else:
             certs.append(cert)
     rows = ratio_rows(certs)
+    lines = []
+    width = 0.1  # of a histogram bin of N/E
+    bins: dict[PrimeType, Counter[tuple[str, int]]] = {kind: Counter() for kind in REQUIRED_KINDS}
+    for cert, kind, expected in rows:
+        trials = cert.witnesses[kind].trial
+        lines.append([cert.weight, cert.dimension, cert.mode, kind.value,
+                      trials, f"{expected:.6f}", f"{trials / expected:.6f}"])
+        bins[kind][cert.mode, math.floor(trials / expected / width)] += 1
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "stats.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["weight", "dimension", "mode", "kind",
-                             "trials", "expected", "ratio"])
-            for r in rows:
-                writer.writerow([r.weight, r.dimension, r.mode, r.kind.value,
-                                 r.trials, f"{r.expected:.6f}", f"{r.ratio:.6f}"])
-        for kind in REQUIRED_KINDS:
-            with open(out_dir / f"histogram_{kind.value}.csv", "w", newline="",
-                      encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["mode", "bin_low", "bin_high", "count"])
-                for mode in sorted({r.mode for r in rows}):
-                    values = [r.ratio for r in rows if r.kind == kind and r.mode == mode]
-                    for lo, hi, count in _histogram(values):
-                        writer.writerow([mode, f"{lo:.1f}", f"{hi:.1f}", count])
+        _write_csv(out_dir / "stats.csv", ["weight", "dimension", "mode", "kind",
+                                           "trials", "expected", "ratio"], lines)
+        for kind, counts in bins.items():
+            _write_csv(out_dir / f"histogram_{kind.value}.csv",
+                       ["mode", "bin_low", "bin_high", "count"],
+                       ([mode, f"{i * width:.1f}", f"{(i + 1) * width:.1f}", count]
+                        for (mode, i), count in sorted(counts.items())))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -488,13 +462,11 @@ def cmd_stats(directory: Path, out_dir: Path | None = None) -> int:
         if not blocks:
             continue
         print(f"\nkind {kind.value}: trials / expected trials")
-        header = "        " + "".join(f"{mode:>14}" for mode, _ in blocks)
-        print(header)
+        print("        " + "".join(f"{mode:>14}" for mode, _ in blocks))
         print("        " + "".join(f"{'(' + str(int(s['count'])) + ' wts)':>14}"
                                    for _, s in blocks))
         for stat in ("min", "max", "med", "mean"):
-            line = f"  {stat:<6}" + "".join(f"{s[stat]:>14.2f}" for _, s in blocks)
-            print(line)
+            print(f"  {stat:<6}" + "".join(f"{s[stat]:>14.2f}" for _, s in blocks))
     print(f"\n{len(rows)} ratio rows from {len(certs)} certificate(s) -> {out_dir}")
     return 0
 
@@ -559,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="primes are drawn below this bound (default 2^20)")
     p_verify.add_argument("--jobs", type=int, default=1,
                           help="parallel worker processes, one weight each")
-    p_verify.add_argument("--out", type=Path,
+    p_verify.add_argument("--out", dest="out_dir", type=Path,
                           default=os.environ.get("MAEDA_OUT"),
                           help="output directory (or set MAEDA_OUT)")
     p_verify.add_argument("--resume", action="store_true",
@@ -586,15 +558,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "verify":
-        if args.out is None:
+        if args.out_dir is None:
             print("error: --out is required (or set MAEDA_OUT)", file=sys.stderr)
             return 2
-        config = RunConfig(
-            k_min=args.k_min, k_max=args.k_max, out_dir=Path(args.out),
-            mode=args.mode, seed=args.seed, bound=args.bound,
-            jobs=args.jobs, resume=args.resume,
-        )
-        return cmd_verify(config)
+        return cmd_verify(RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)}))
     if args.command == "check":
         return cmd_check(args.directory)
     if args.command == "stats":

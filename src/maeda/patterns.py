@@ -75,9 +75,6 @@ class Pattern:
         """Distinct part lengths, ascending."""
         return (length for length, _ in self.parts)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.parts)
-
     def __str__(self) -> str:
         if not self.parts:
             return "()"

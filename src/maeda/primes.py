@@ -60,8 +60,3 @@ def check_modulus(p: int) -> None:
         raise ValueError(f"modulus must satisfy 2 <= p < 2^20, got {p}")
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
-
-
-def prime_count(bound: int) -> int:
-    """Number of primes strictly below ``bound``."""
-    return len(sieve_primes(bound))

@@ -23,7 +23,7 @@ from maeda.ffpoly import charpoly_mod_p, factorization_pattern, is_squarefree, r
 from maeda.hecke import dim_cusp_forms
 from maeda.oracles import hecke_matrix_T2
 from maeda.patterns import Pattern, PrimeType
-from maeda.primes import is_prime, prime_count, sieve_primes
+from maeda.primes import is_prime, sieve_primes
 
 
 def pat(d: dict[int, int]) -> Pattern:
@@ -78,7 +78,7 @@ def test_sample_prime_uniform_chi_square():
 
 
 def test_prime_pool_size_below_2_20():
-    assert prime_count(1 << 20) == 82025
+    assert len(sieve_primes(1 << 20)) == 82025
 
 
 def test_sieve_primes_matches_primality_test():

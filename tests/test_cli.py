@@ -201,6 +201,35 @@ def test_cmd_verify_parallel_matches_serial(tmp_path):
         assert a == b
 
 
+def test_cmd_verify_starts_no_more_workers_than_weights(tmp_path, monkeypatch):
+    # under fork a pool starts all its workers at the first submit; this
+    # stand-in starts none and only records how many were asked for
+    import concurrent.futures
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert cmd_verify(RunConfig(k_min=24, k_max=26, out_dir=tmp_path, seed=1,
+                                jobs=1000)) == 0
+    assert asked == [2]
+    assert cmd_verify(RunConfig(k_min=24, k_max=24, out_dir=tmp_path, seed=1,
+                                jobs=1000)) == 0
+    assert asked == [2]  # one weight: no pool at all
+
+
 def test_write_certificate_is_atomic(tmp_path, monkeypatch):
     cert = verify_weight(48, seed=1)
     path = certificate_path(tmp_path, 48)
@@ -293,6 +322,32 @@ def test_check_and_stats_report_an_unreadable_certificate(small_run, tmp_path, c
     printed = capsys.readouterr()
     assert "warning: skipping cert_24.json (cannot read: " in printed.err
     assert "ratio rows from 1 certificate(s)" in printed.out
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [({"dimension": 3000}, "wrong dimension"),
+     ({"weight": 20000, "dimension": dim_cusp_forms(20000)},
+      f"weight 20000 above {MAX_WEIGHT}")],
+    ids=["dimension", "weight-above-max"],
+)
+def test_stats_skips_a_certificate_check_refuses_at_its_header(small_run, tmp_path, capsys,
+                                                              edit, reason):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "cert_24.json").write_bytes(certificate_path(small_run, 24).read_bytes())
+    blob = json.loads(certificate_path(small_run, 48).read_text())
+    blob.update(edit)
+    (run / "cert_48.json").write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert main(["stats", str(run), "--out", str(tmp_path / "stats")]) == 0
+    printed = capsys.readouterr()
+    assert printed.err == f"warning: skipping cert_48.json ({reason})\n"
+    assert "ratio rows from 1 certificate(s)" in printed.out
+    with open(tmp_path / "stats" / "stats.csv", newline="") as fh:
+        assert {r["weight"] for r in csv.DictReader(fh)} == {"24"}
+    assert main(["check", str(run)]) == 1
+    assert f"cert_48.json: FAIL ({reason})" in capsys.readouterr().out
 
 
 def test_cmd_check_passes_on_fresh_run(small_run, capsys):
@@ -411,7 +466,7 @@ def test_ratio_rows_and_summary_helpers():
     certs = [verify_weight(k, seed=2) for k in (24, 48, 60)]
     certs.append(verify_weight(12, seed=2))  # vacuous: dropped
     rows = ratio_rows(certs)
-    assert {r.weight for r in rows} == {24, 48, 60}
+    assert {cert.weight for cert, _, _ in rows} == {24, 48, 60}
     summary = ratio_summary(rows)
     stats = summary[("random", T.I)]
     assert stats["count"] == 3
@@ -476,6 +531,36 @@ def test_stats_outputs_are_golden(mixed_run, tmp_path, capsys):
     assert printed.out.replace(str(out), "<out>") == (GOLDEN / "stats_stdout.txt").read_text()
     for name in STATS_FILES:
         assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def _without_last_column(text: str) -> str:
+    # summary.csv's last column is duration_ms, the only one that may differ
+    return "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
+
+
+@pytest.mark.parametrize(
+    "runs, stdout, summary, code",
+    [
+        ([["--from", "10", "--to", "60", "--seed", "1"]],
+         "verify_stdout.txt", "verify_summary.csv", 0),
+        # a --resume rerun prints "cached" rows and writes the same summary
+        ([["--from", "10", "--to", "60", "--seed", "1"]] * 2,
+         "verify_resume_stdout.txt", "verify_summary.csv", 0),
+        ([["--mode", "consecutive", "--bound", "30", "--from", "590", "--to", "600"]],
+         "verify_exhausted_stdout.txt", "verify_exhausted_summary.csv", 1),
+    ],
+    ids=["first", "resume", "exhausted"],
+)
+def test_verify_outputs_are_golden(tmp_path, capsys, runs, stdout, summary, code):
+    # the last run's stdout and exit code, and summary.csv but for duration_ms
+    for i, args in enumerate(runs):
+        capsys.readouterr()
+        got = main(["verify", *args, "--out", str(tmp_path), *(["--resume"] if i else [])])
+    printed = capsys.readouterr()
+    assert got == code and printed.err == ""
+    assert printed.out == (GOLDEN / stdout).read_text()
+    assert _without_last_column((tmp_path / "summary.csv").read_text()) == (
+        GOLDEN / summary).read_text()
 
 
 def test_main_entry_points(tmp_path, capsys, monkeypatch):

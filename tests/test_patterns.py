@@ -12,7 +12,7 @@ def test_construction_and_canonical_order():
     assert a.multiplicity(3) == 2
     assert a.multiplicity(2) == 0
     assert list(a.lengths()) == [1, 3, 5]
-    assert a.as_dict() == {1: 2, 3: 2, 5: 1}
+    assert dict(a.parts) == {1: 2, 3: 2, 5: 1}
 
 
 def test_from_pairs_merges_duplicates():
