@@ -29,11 +29,9 @@ import json
 import math
 import os
 import re
-import statistics
 import sys
 from collections import Counter
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -49,7 +47,6 @@ from .certify import (
     rule_errors,
     verify_weight,
 )
-from .density import density, expected_trials, lower_bound
 from .ffpoly import MAX_MODULUS
 from .hecke import dim_cusp_forms
 from .patterns import Pattern, PrimeType
@@ -386,6 +383,10 @@ def ratio_rows(certs: Iterable[Certificate]) -> list[tuple[Certificate, PrimeTyp
     A kind gets no row at a dimension outside the domain of its density:
     vacuous (dimension-1) certificates get none, and kind II none at d = 2.
     """
+    # density, statistics and fractions are imported where stats and density
+    # need them, so that a verify or check process never compiles or loads them
+    from .density import expected_trials
+
     rows = []
     for cert in certs:
         for kind in REQUIRED_KINDS:
@@ -402,6 +403,8 @@ def ratio_rows(certs: Iterable[Certificate]) -> list[tuple[Certificate, PrimeTyp
 def ratio_summary(rows: Iterable[tuple[Certificate, PrimeType, float]]
                   ) -> dict[tuple[str, PrimeType], dict[str, float]]:
     """min/max/median/mean of N/E per (mode, kind)."""
+    import statistics
+
     grouped: dict[tuple[str, PrimeType], list[float]] = {}
     for cert, kind, expected in rows:
         grouped.setdefault((cert.mode, kind), []).append(cert.witnesses[kind].trial / expected)
@@ -476,6 +479,10 @@ def cmd_stats(directory: Path, out_dir: Path | None = None) -> int:
 
 def cmd_density(d_min: int, d_max: int) -> int:
     """Print exact/float densities, expected trials, and bound status."""
+    from fractions import Fraction
+
+    from .density import density, expected_trials, lower_bound
+
     if not 1 <= d_min <= d_max:
         print(f"error: need 1 <= d_min <= d_max, got [{d_min}, {d_max}]",
               file=sys.stderr)

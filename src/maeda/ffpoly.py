@@ -1,8 +1,7 @@
 """Arithmetic over prime fields F_p with p < 2^20.
 
 Matrix reduction, characteristic polynomials, squarefreeness, and
-factorization patterns via distinct-degree splitting with a Frobenius matrix
-and blocked gcds (von zur Gathen & Shoup, 1992; Kaltofen & Shoup, 1998).
+factorization patterns.
 
 F_p data are plain int64 numpy arrays of residues in [0, p), passed together
 with p: a matrix is a square 2-d array, and a polynomial is a 1-d array of
@@ -11,18 +10,40 @@ coefficient.  The modulus is checked once, where integer data enter F_p
 (:func:`reduce_matrix`, and :func:`~maeda.hecke.hecke_matrix_T2`);
 the functions that take an F_p array trust the p passed with it.
 
+Two regimes.  A trial of the search takes the characteristic polynomial of
+a d x d matrix and the pattern of a degree-d polynomial, and for most of
+them p > d and d <= 90.  There, :func:`charpoly_mod_p` and
+:func:`factorization_pattern` read their results off traces of matrix
+powers, a few BLAS products in all: the power sums tr(A^k) give the
+characteristic polynomial by Newton's identities, and the traces of the
+powers of the Frobenius matrix Q count the factors of each degree.  In every
+other case, the characteristic polynomial comes from a Hessenberg
+reduction, and the pattern from distinct-degree splitting with the
+Frobenius matrix and blocked gcds (von zur Gathen & Shoup, 1992; Kaltofen &
+Shoup, 1998), which take about d numpy steps one after another.  The rule
+is ``p > d and d * d < MAX_FLOAT_TERMS`` (:func:`_by_traces`): Newton's
+identities divide by every k <= d, a Frobenius trace is an integer up to d
+read from its residue, and a trace is one product of d^2 terms.  Both
+regimes give the same results; the tests compare them.
+
 Exactness.  With p < 2^20 a product of two residues is below 2^40.
 Series and polynomial products (``np.convolve``) run in int64 and sum at
 most n such products, n the length, so they are exact while n < 2^23;
 polynomials here have degree at most the matrix size, and an n x n matrix
 with n >= 2^23 would take 512 TiB.  Dense vector-matrix and matrix products
-run in float64 through BLAS (:func:`_matmul`).  float64 holds every integer
-below 2^53, so a sum of fewer than :data:`MAX_FLOAT_TERMS` = 2^13 products
-is exact, and :func:`_matmul` asserts that bound before each product.  The
-paper's range, k <= 14000, has d <= 1166 and series of length at most 2337.
-Float results return to residues as ``astype(np.int64) % p``: ``np.fmod``
-on float64 would be exact too, but measured about 30 times slower (150 ns
-against 4.6 ns per element).
+run in float64 through BLAS (:func:`_matmul`, :func:`_matmul_residues`).
+float64 holds every integer below 2^53, so a sum of fewer than
+:data:`MAX_FLOAT_TERMS` = 2^13 products is exact, and both helpers assert
+that bound before each product; the trace kernels also assert their own
+size preconditions.  All traces of one matrix come from a single product
+whose sums run over the d^2 entries of two matrices, exact while
+d^2 < 2^13, that is d <= 90.  Newton's identities sum at most d products of
+residues in int64, below 2^47.  The paper's range, k <= 14000, has d <= 1166
+and series of length at most 2337.  Float results return to residues as
+``astype(np.int64) % p``, or for whole matrices as x - floor(x / p) p,
+about twice as fast; ``np.fmod`` on float64 would be exact
+too, but measured about 30 times slower (150 ns against 4.6 ns per
+element).
 """
 
 from __future__ import annotations
@@ -72,16 +93,94 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a @ b).astype(np.int64) % p
 
 
+def _matmul_residues(a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray | None = None
+                     ) -> np.ndarray:
+    # a @ b mod p for float64 arrays of residues, as float64 residues; exact.
+    # For x = qp + r < 2^53 - 2^40 (fewer than 2^13 terms), x / p is
+    # correctly rounded and (q + 1)p < 2^53, so the spacing of doubles just
+    # below q + 1 is under 2/p, while x / p lies at least 1/p below q + 1:
+    # it rounds to less than q + 1, and its floor is q.  On a whole matrix
+    # this is about twice as fast as the int64 remainder of _matmul
+    assert a.shape[-1] < MAX_FLOAT_TERMS, "a float64 dot product could exceed 2^53"
+    x = np.matmul(a, b, out=out)
+    x -= np.floor(x / p) * p
+    return x
+
+
+def _by_traces(d: int, p: int) -> bool:
+    # the one selection rule: power traces for a d x d matrix or a degree-d
+    # polynomial need p > d (Newton's identities divide by k <= d; the
+    # Frobenius traces are integers up to d) and a d^2-term product
+    return p > d and d * d < MAX_FLOAT_TERMS
+
+
+def _power_traces(M: np.ndarray, m: int, p: int) -> np.ndarray:
+    # tr(M^i) mod p for 0 <= i <= m, M a d x d float64 array of residues, by
+    # Paterson-Stockmeyer baby and giant steps: M^a for a < s and
+    # (M^T)^(bs), then tr(M^(a + bs)) = <M^a, (M^T)^(bs)>, every pair in one
+    # d^2-term float product (exact while d^2 < MAX_FLOAT_TERMS)
+    d = M.shape[0]
+    assert d * d < MAX_FLOAT_TERMS, "a d^2-term float64 product could exceed 2^53"
+    s = math.isqrt(m) + 1
+    giants = -(-(m + 1) // s)
+    baby = np.empty((s, d, d))
+    baby[0] = np.eye(d)
+    for a in range(1, s):
+        _matmul_residues(baby[a - 1], M, p, out=baby[a])
+    giant = np.empty((giants, d, d))
+    giant[0] = np.eye(d)
+    if giants > 1:
+        giant[1] = _matmul_residues(baby[s - 1], M, p).T
+    for b in range(2, giants):
+        _matmul_residues(giant[b - 1], giant[1], p, out=giant[b])
+    pairs = _matmul_residues(baby.reshape(s, d * d), giant.reshape(giants, d * d).T, p)
+    return pairs.T.reshape(-1)[: m + 1].astype(np.int64)  # entry a + bs is tr(M^(a + bs))
+
+
 def charpoly_mod_p(A: np.ndarray, p: int) -> np.ndarray:
     """Monic characteristic polynomial of the square matrix A over F_p.
 
-    A may hold any integers; they are reduced mod p.  Deterministic O(d^3):
-    reduce to upper Hessenberg form by a similarity built from pivoted
-    eliminations, then run the leading-minor recurrence.
+    A may hold any integers; they are reduced mod p.  When p > d and
+    d^2 < :data:`MAX_FLOAT_TERMS` (d <= 90), the power sums tr(A^k), k <= d,
+    come from about 2 sqrt(d) matrix products (Paterson & Stockmeyer, SIAM
+    J. Comput. 2, 1973) and give the coefficients by Newton's identities
+    (the Le Verrier-Faddeev method; Faddeev & Faddeeva, *Computational
+    Methods of Linear Algebra*, 1963).  Otherwise the matrix is reduced to
+    upper Hessenberg form by a similarity built from pivoted eliminations,
+    and the leading-minor recurrence runs on it (Cohen, *A Course in
+    Computational Algebraic Number Theory*, sec. 2.2.4).  Both are
+    deterministic.  The Hessenberg route is O(d^3) in about 2d numpy steps
+    one after another; the traces cost O(d^3.5) in about 2 sqrt(d) steps,
+    which is faster while d is small enough for their products to be exact.
     """
     h = np.asarray(A, dtype=np.int64) % p
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
+    if _by_traces(h.shape[0], p):
+        return _charpoly_traces(h, p)
+    return _charpoly_hessenberg(h, p)
+
+
+def _charpoly_traces(h: np.ndarray, p: int) -> np.ndarray:
+    # Newton's identities for f = X^d + c_1 X^(d-1) + ... + c_d and the power
+    # sums s_i = tr(h^i): k c_k = -(s_k + sum_{i<k} c_(k-i) s_i).  Each sum is
+    # an int64 dot product of at most 90 terms below 2^40, so below 2^47
+    d = h.shape[0]
+    assert p > d, "Newton's identities divide by every k <= d"
+    s = _power_traces(h.astype(np.float64), d, p)
+    inverse = [0, 1]  # inverse[k] = 1/k mod p, from p = (p // k) k + p % k
+    for k in range(2, d + 1):
+        inverse.append(-(p // k) * inverse[p % k] % p)
+    c = np.zeros(d + 1, dtype=np.int64)
+    c[0] = 1
+    for k in range(1, d + 1):
+        c[k] = -(int(s[k]) + int(c[k - 1 : 0 : -1] @ s[1:k])) * inverse[k] % p
+    return c[::-1].copy()
+
+
+def _charpoly_hessenberg(h: np.ndarray, p: int) -> np.ndarray:
+    # h: a square int64 array of residues, overwritten.  Reduce to upper
+    # Hessenberg form, then run the leading-minor recurrence
     d = h.shape[0]
     for m in range(1, d - 1):
         # rows m.. are zero left of column m-1, so only columns m-1.. change
@@ -233,17 +332,22 @@ def _mulmod(a: np.ndarray, b: np.ndarray, rows: np.ndarray, p: int) -> np.ndarra
     return (c[:d] + _matmul(high, rows[: len(high)], p)) % p
 
 
-def _powmod(a: np.ndarray, e: int, rows: np.ndarray, p: int) -> np.ndarray:
-    result = np.zeros(len(a), dtype=np.int64)
-    result[0] = 1
-    base = a
-    while e:
-        if e & 1:
-            result = _mulmod(result, base, rows, p)
-        e >>= 1
-        if e:
-            base = _mulmod(base, base, rows, p)
-    return result
+def _x_power(e: int, rows: np.ndarray, p: int) -> np.ndarray:
+    # X^e mod the monic f behind ``rows``, e >= 1, by left-to-right binary
+    # powering: a square per bit, and a set bit multiplies by X, a shift
+    # whose one term X^n is reduced by rows[0] = X^n mod f
+    n = rows.shape[1]
+    top_row = rows[0].astype(np.int64)
+    h = np.zeros(n, dtype=np.int64)
+    h[1] = 1
+    for bit in bin(e)[3:]:
+        h = _mulmod(h, h, rows, p)
+        if bit == "1":
+            top = h[-1]
+            h = np.concatenate(([0], h[:-1]))
+            if top:
+                h = (h + top * top_row) % p
+    return h
 
 
 def is_squarefree(f: np.ndarray, p: int) -> bool:
@@ -264,6 +368,33 @@ def _is_squarefree(p: int, coeffs: bytes) -> bool:
     f = np.frombuffer(coeffs, dtype=np.int64)
     derivative = f[1:] * np.arange(1, len(f)) % p
     return len(_gcd(f, derivative, p)) <= 1
+
+
+def _require_monic_squarefree(f: np.ndarray, p: int) -> None:
+    if not len(f) or f[-1] != 1:
+        raise ValueError("distinct-degree splitting requires a monic polynomial")
+    if not is_squarefree(f, p):
+        raise ValueError("distinct-degree splitting requires a squarefree polynomial")
+
+
+def _frobenius(f: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    # for monic f of degree n >= 2: the float64 reduction rows of f, and the
+    # float64 Frobenius matrix Q of F_p[X]/(f), whose row r is X^(rp) mod f.
+    # Row r is row r-1 times the matrix of multiplication by X^p, whose row
+    # j is X^j xp mod f: xp shifted by j, its terms from X^n on reduced by
+    # the rows
+    n = len(f) - 1
+    rows = _reduction_rows(f, p)
+    xp = _x_power(p, rows, p)
+    shifted = np.ascontiguousarray(sliding_window_view(
+        np.concatenate((np.zeros(n - 1), xp, np.zeros(n - 1))), 2 * n - 1)[::-1])
+    times_xp = (shifted[:, :n].astype(np.int64) + _matmul(shifted[:, n:], rows, p)) % p
+    times_xp = times_xp.astype(np.float64)
+    frob = np.zeros((n, n))
+    frob[0, 0] = 1
+    for r in range(1, n):
+        frob[r] = _matmul(frob[r - 1], times_xp, p)
+    return rows, frob
 
 
 def distinct_degree_split(f: np.ndarray, p: int) -> dict[int, np.ndarray]:
@@ -289,29 +420,15 @@ def distinct_degree_split(f: np.ndarray, p: int) -> dict[int, np.ndarray]:
     degrees.
     """
     fr = np.array(f, dtype=np.int64)  # f with the factors found so far divided out
-    if not len(fr) or fr[-1] != 1:
-        raise ValueError("distinct-degree splitting requires a monic polynomial")
-    if not is_squarefree(fr, p):
-        raise ValueError("distinct-degree splitting requires a squarefree polynomial")
+    _require_monic_squarefree(fr, p)
     n = deg = len(fr) - 1
     if n < 2:
         return {n: fr} if n else {}
     # everything below is reduced mod the original f, so the rows and Q are
     # built once; h = X^(p^j) mod f is also X^(p^j) mod every factor fr of f
-    rows = _reduction_rows(fr, p)
+    rows, frob = _frobenius(fr, p)
     h = np.zeros(n, dtype=np.int64)
     h[1] = 1
-    xp = _powmod(h, p, rows, p)
-    # row j of times_xp is X^j xp mod f: xp shifted by j, with its terms
-    # from X^n on reduced by the rows; then row r of Q is row r-1 times it
-    shifted = np.ascontiguousarray(sliding_window_view(
-        np.concatenate((np.zeros(n - 1), xp, np.zeros(n - 1))), 2 * n - 1)[::-1])
-    times_xp = (shifted[:, :n].astype(np.int64) + _matmul(shifted[:, n:], rows, p)) % p
-    times_xp = times_xp.astype(np.float64)
-    frob = np.zeros((n, n))  # Q: row r is X^(rp) mod f
-    frob[0, 0] = 1
-    for r in range(1, n):
-        frob[r] = _matmul(frob[r - 1], times_xp, p)
     one = np.zeros(n, dtype=np.int64)
     one[0] = 1
     block = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
@@ -350,10 +467,47 @@ def distinct_degree_split(f: np.ndarray, p: int) -> dict[int, np.ndarray]:
 def factorization_pattern(f: np.ndarray, p: int) -> Pattern:
     """Factorization pattern of a monic squarefree f over F_p.
 
-    The multiset {degree: count} of its irreducible factors, computed by
-    distinct-degree splitting alone (see :func:`distinct_degree_split`);
-    raises ValueError on non-squarefree input, where the pattern would be
-    ill-defined.
+    The multiset {degree: count} of its irreducible factors; raises
+    ValueError on input that is not monic or not squarefree, where the
+    pattern would be ill-defined.
+
+    When p > n = deg f and n^2 < :data:`MAX_FLOAT_TERMS` (n <= 90), the
+    pattern is read off traces.  F_p[X]/(f) is the product of the fields
+    F_(p^e), one per irreducible factor of degree e, and on F_(p^e) the
+    i-th power of Frobenius has trace e if e divides i and 0 otherwise: it
+    permutes the e elements of a normal basis, fixing all of them if e
+    divides i and none otherwise (Lidl & Niederreiter, *Finite Fields*,
+    Thm. 2.35).  So tr(Q^i), with
+    Q the Frobenius matrix (Berlekamp's Q; Knuth, *The Art of Computer
+    Programming* vol. 2, sec. 4.6.2), is the total degree S(i) of the
+    factors whose degree divides i; since S(i) <= n < p, the residue is
+    that integer.  Möbius inversion of S(e) = sum over m | e of m c_m gives
+    the number c_e of factors of degree e <= n/2, and the degree left over
+    is one factor of degree > n/2.  The traces for i <= n/2 take about
+    2 sqrt(n/2) matrix products (see :func:`charpoly_mod_p`).  Otherwise the
+    pattern comes from :func:`distinct_degree_split`.
     """
-    split = distinct_degree_split(f, p)
-    return Pattern.from_pairs((i, (len(g) - 1) // i) for i, g in split.items())
+    f = np.asarray(f, dtype=np.int64)
+    n = len(f) - 1
+    if n < 2 or not _by_traces(n, p):
+        split = distinct_degree_split(f, p)
+        return Pattern.from_pairs((i, (len(g) - 1) // i) for i, g in split.items())
+    return _pattern_traces(f, p)
+
+
+def _pattern_traces(f: np.ndarray, p: int) -> Pattern:
+    # found[e] starts as S(e) and, once the divisors of e below it are taken
+    # out, is e c_e: a sieve that performs the Möbius inversion
+    _require_monic_squarefree(f, p)
+    n = len(f) - 1
+    assert p > n, "a Frobenius trace S(i) <= n is read as an integer"
+    found = _power_traces(_frobenius(f, p)[1], n // 2, p).tolist()
+    found[0] = 0
+    for e in range(1, len(found)):
+        assert found[e] % e == 0, "Frobenius traces must count factors"
+        for multiple in range(2 * e, len(found), e):
+            found[multiple] -= found[e]
+    rest = n - sum(found)
+    assert rest == 0 or rest > n // 2, "at most one factor has degree above n/2"
+    pairs = [(e, v // e) for e, v in enumerate(found) if v]
+    return Pattern.from_pairs(pairs + [(rest, 1)] if rest else pairs)

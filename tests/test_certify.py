@@ -321,6 +321,49 @@ def test_check_certificate_builds_once_per_distinct_prime(built_primes, cert48):
     assert sorted(built_primes) == sorted(set(primes))
 
 
+@pytest.fixture
+def trial_calls(monkeypatch) -> dict[str, list]:
+    """Each call that certify makes to the steps of a trial, by step: the
+    squarefree test's list holds its answers."""
+    calls: dict[str, list] = {"charpoly": [], "squarefree": [], "pattern": []}
+
+    def counted(step, fn, record=lambda args, result: None):
+        def wrapper(*args):
+            result = fn(*args)
+            calls[step].append(record(args, result))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(certify, "charpoly_mod_p", counted("charpoly", charpoly_mod_p))
+    monkeypatch.setattr(certify, "is_squarefree",
+                        counted("squarefree", is_squarefree, lambda args, result: result))
+    monkeypatch.setattr(certify, "factorization_pattern",
+                        counted("pattern", factorization_pattern))
+    return calls
+
+
+@pytest.mark.parametrize("k, mode", [(48, "random"), (300, "random"), (200, "consecutive")])
+def test_search_makes_one_charpoly_squarefree_test_and_pattern_per_trial(trial_calls, k, mode):
+    # perfbench/run.py --trace 1 equates traced trials with the trials the
+    # certificates record; a change that batched or skipped trials would
+    # break that rule and must face this test
+    cert = verify_weight(k, mode=mode, seed=1)
+    trials = max(cert.trials_total.values())
+    assert len(trial_calls["charpoly"]) == len(trial_calls["squarefree"]) == trials
+    assert len(trial_calls["pattern"]) == sum(trial_calls["squarefree"])
+    if mode == "consecutive":  # small primes: some reductions are not squarefree
+        assert sum(trial_calls["squarefree"]) < trials
+
+
+def test_recheck_makes_one_charpoly_per_distinct_witness_prime(trial_calls, cert48):
+    for cert in cert48.values():
+        del trial_calls["charpoly"][:]
+        assert check_certificate(cert)
+        primes = {w.prime for w in cert.witnesses.values()}
+        assert len(trial_calls["charpoly"]) == len(primes)
+    assert len({w.prime for w in cert48[1].witnesses.values()}) < len(cert48[1].witnesses)
+
+
 def test_check_certificate_refuses_weight_above_max(built_primes, cert48):
     # a header consistent with an absurd weight must not start a build
     cert = cert48[9]

@@ -14,8 +14,14 @@ from _oracles import charpoly_det_expansion, poly_divmod, poly_mul, trial_factor
 from maeda.ffpoly import (
     MAX_FLOAT_TERMS,
     MAX_MODULUS,
+    _by_traces,
+    _charpoly_hessenberg,
+    _charpoly_traces,
     _divmod,
     _matmul,
+    _matmul_residues,
+    _pattern_traces,
+    _power_traces,
     charpoly_mod_p,
     distinct_degree_split,
     factorization_pattern,
@@ -430,3 +436,200 @@ def test_divmod_matches_long_division_oracle():
         assert_poly(q, p)
         assert_poly(r, p)
         assert (q.tolist(), r.tolist()) == poly_divmod(a, b, p), (p, a, b)
+
+
+def test_float_residue_product_is_exact_at_the_worst_case():
+    # the trace path's largest product: d^2 = 8100 terms, every residue p - 1
+    p, n = 1048573, 90 * 90
+    a = np.full((2, n), p - 1, dtype=np.float64)
+    b = np.full((n, 3), p - 1, dtype=np.float64)
+    exact = n * (p - 1) ** 2
+    assert exact < 2**53 and int((a @ b)[0, 0]) == exact
+    assert _matmul_residues(a, b, p).tolist() == [[exact % p] * 3] * 2
+    # x - floor(x / p) p is the remainder wherever x < 2^53 - 2^40, also
+    # next to the multiples of p, where a quotient rounded up would show
+    rng = np.random.default_rng(3)
+    for q in (3, 1021, 1048571, p):
+        top = (MAX_FLOAT_TERMS - 1) * (q - 1) ** 2
+        quotients = rng.integers(1, top // q, size=20000)
+        x = np.concatenate((rng.integers(0, top, size=20000), quotients * q - 1,
+                            quotients * q, [top, top - 1, q - 1, 0]))
+        assert _matmul_residues(x.astype(np.float64)[:, None], np.ones((1, 1)), q
+                                ).ravel().astype(np.int64).tolist() == (x % q).tolist()
+    with pytest.raises(AssertionError):
+        _matmul_residues(np.ones(MAX_FLOAT_TERMS), np.ones(MAX_FLOAT_TERMS), 5)
+
+
+# ---------------------------------------------------------------------------
+# the trace path (p > d, d <= 90) against the Hessenberg and distinct-degree
+# code it replaced there: charpoly_mod_p and factorization_pattern now take
+# it on nearly every trial of the search, so each regime is pinned against
+# the other, and against independent oracles
+
+def next_prime(n: int) -> int:
+    """The least prime above n."""
+    return next(q for q in sieve_primes(2 * n + 3) if q > n)
+
+
+def test_trace_charpoly_equals_hessenberg_on_T2_for_every_d_to_90():
+    # k = 12 d has dim S_k = d
+    for d in range(1, 91):
+        for p in (next_prime(d), 1048571, 1048573):
+            m = hecke.hecke_matrix_T2(12 * d, p)
+            traced = _charpoly_traces(m, p)
+            assert_poly(traced, p)
+            assert traced.tolist() == _charpoly_hessenberg(m.copy(), p).tolist(), (d, p)
+            assert charpoly_mod_p(m, p).tolist() == traced.tolist()
+
+
+@st.composite
+def small_matrices(draw):
+    """An integer matrix of size d <= 12 of one of several shapes, and a
+    prime p with d < p <= 200."""
+    d = draw(st.integers(0, 12))
+    p = draw(st.sampled_from([q for q in sieve_primes(201) if q > d]))
+    kind = draw(st.sampled_from(["random", "zero", "scalar", "nilpotent", "block-diagonal"]))
+    entries = st.integers(-10**6, 10**6)
+    rows = [[draw(entries) for _ in range(d)] for _ in range(d)]
+    if kind == "zero":
+        rows = [[0] * d for _ in range(d)]
+    elif kind == "scalar":
+        c = draw(entries)
+        rows = [[c if i == j else 0 for j in range(d)] for i in range(d)]
+    elif kind == "nilpotent":  # strictly upper triangular, then permuted
+        perm = draw(st.permutations(range(d)))
+        upper = [[rows[i][j] if j > i else 0 for j in range(d)] for i in range(d)]
+        rows = [[upper[perm[i]][perm[j]] for j in range(d)] for i in range(d)]
+    elif kind == "block-diagonal":
+        cut = draw(st.integers(0, d))
+        rows = [[rows[i][j] if (i < cut) == (j < cut) else 0 for j in range(d)]
+                for i in range(d)]
+    return p, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=small_matrices())
+def test_trace_charpoly_matches_exact_charpoly_on_small_matrices(case):
+    p, rows = case
+    exact = [c % p for c in charpoly_exact(IntMatrix(tuple(map(tuple, rows))))]
+    a = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows))
+    assert _by_traces(len(rows), p)
+    assert _charpoly_traces(a % p, p).tolist() == exact
+    assert _charpoly_hessenberg(a % p, p).tolist() == exact
+    assert charpoly_mod_p(a, p).tolist() == exact
+
+
+def ddf_pattern(f: np.ndarray, p: int) -> Pattern:
+    """The factorization pattern by distinct-degree splitting alone."""
+    return Pattern.from_pairs((i, (len(g) - 1) // i) for i, g in distinct_degree_split(f, p).items())
+
+
+@pytest.mark.parametrize(
+    "p, shape",
+    [
+        (97, (1,) * 90),  # all linear, at the largest degree the trace path takes
+        (1048573, (1,) * 40),
+        (97, (2,) * 45),  # {2: k}
+        (1048573, (2,) * 12),
+        (1048573, (1, 29)),  # {1: 1, d - 1: 1}
+        (43, (1, 40)),
+        (1048573, (1, 2, 2, 3, 5, 7, 11, 13, 17)),  # mixed
+        (97, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13)),
+        (101, (3, 3, 4, 6, 6, 12, 24, 25)),  # one factor above d/2 and divisor chains below
+    ],
+)
+def test_trace_pattern_matches_ddf_and_sympy_on_planted_products(p, shape):
+    product, _ = planted_polynomial(random.Random(len(shape) + p), p, shape)
+    f = np.array(product, dtype=np.int64)
+    expected = Pattern.from_lengths(shape)
+    assert _by_traces(len(f) - 1, p)
+    assert _pattern_traces(f, p) == expected
+    assert ddf_pattern(f, p) == expected
+    assert factorization_pattern(f, p) == expected
+    assert sympy_factor_degrees(product, p) == sorted((m, 1) for m in shape)
+
+
+@pytest.mark.parametrize("k", [300, 588, 1080])  # d = 25, 49, 90
+def test_trace_pattern_matches_ddf_and_sympy_on_T2_reductions(k):
+    d = hecke.dim_cusp_forms(k)
+    rng = random.Random(k)
+    primes = sieve_primes(MAX_MODULUS)
+    checked = 0
+    for p in [next_prime(d), 1048571] + [primes[rng.randrange(len(primes))] for _ in range(3)]:
+        fp = charpoly_mod_p(hecke.hecke_matrix_T2(k, p), p)
+        assert len(fp) == d + 1 and _by_traces(d, p)
+        if not is_squarefree(fp, p):
+            continue
+        traced = _pattern_traces(fp, p)
+        assert traced == ddf_pattern(fp, p), (k, p)
+        factors = sympy_factor_degrees(fp.tolist(), p)
+        assert traced == Pattern.from_lengths(m for m, _ in factors), (k, p)
+        checked += 1
+    assert checked >= 3
+
+
+def test_selection_boundary_in_d_and_p():
+    assert _by_traces(90, 97) and not _by_traces(91, 97)
+    assert _by_traces(30, 31) and not _by_traces(31, 31) and not _by_traces(30, 29)
+    # d = 90 against 91 (k = 1080, 1092): the paths agree at 90, and the
+    # traces refuse 91, whose d^2-term products could be inexact
+    for k, d in ((1080, 90), (1092, 91)):
+        p = 1048573
+        m = hecke.hecke_matrix_T2(k, p)
+        assert m.shape == (d, d)
+        hessenberg = _charpoly_hessenberg(m.copy(), p)
+        assert charpoly_mod_p(m, p).tolist() == hessenberg.tolist()
+        if d == 90:
+            assert _charpoly_traces(m, p).tolist() == hessenberg.tolist()
+        else:
+            with pytest.raises(AssertionError):
+                _charpoly_traces(m, p)
+    # degree 90 against 91 polynomials, all linear over F_97
+    for n in (90, 91):
+        product, _ = planted_polynomial(random.Random(n), 97, (1,) * n)
+        f = np.array(product, dtype=np.int64)
+        assert factorization_pattern(f, 97) == ddf_pattern(f, 97) == Pattern.from_pairs([(1, n)])
+    # p <= d against p > d at d = 30 (k = 360): p = 29 takes Hessenberg and
+    # distinct-degree splitting, and the traces refuse it, since Newton's
+    # identities divide by 29 and a Frobenius trace of 30 reads as 1
+    for p in (29, 31):
+        m = hecke.hecke_matrix_T2(360, p)
+        fp = charpoly_mod_p(m, p)
+        assert fp.tolist() == _charpoly_hessenberg(m.copy(), p).tolist()
+        if p > 30:
+            assert fp.tolist() == _charpoly_traces(m, p).tolist()
+        else:
+            with pytest.raises(AssertionError):
+                _charpoly_traces(m, p)
+    f = np.array(planted_polynomial(random.Random(3), 29, (1, 2, 3, 24))[0], dtype=np.int64)
+    assert factorization_pattern(f, 29) == Pattern.from_lengths((1, 2, 3, 24))
+    with pytest.raises(AssertionError):
+        _pattern_traces(f, 29)
+
+
+def test_power_traces_of_a_permutation_matrix():
+    # a permutation with cycles of lengths 1, 2, 3, 4: tr(M^i) counts the
+    # points on cycles whose length divides i
+    perm = [0, 2, 1, 4, 5, 3, 7, 8, 9, 6]
+    m = np.zeros((10, 10))
+    m[range(10), perm] = 1
+    expected = [sum(c for c in (1, 2, 3, 4) if i % c == 0) for i in range(13)]
+    assert _power_traces(m, 12, 11).tolist() == [e % 11 for e in expected]
+
+
+@pytest.mark.parametrize("coeffs, p", [
+    ((1, 3), 5),  # leading coefficient 3
+    ((1, 1, 0), 5),  # untrimmed: leading entry 0
+    ((), 5),  # no coefficients
+    ((4, 4, 1), 5),  # (X+2)^2
+    ((1, 0, 2, 0, 1), 7),  # (X^2+1)^2
+])
+def test_trace_pattern_raises_the_ddf_errors(coeffs, p):
+    f = poly(p, coeffs)
+    with pytest.raises(ValueError) as ddf:
+        distinct_degree_split(f, p)
+    with pytest.raises(ValueError) as traced:
+        _pattern_traces(f, p)
+    with pytest.raises(ValueError) as pattern:
+        factorization_pattern(f, p)
+    assert str(traced.value) == str(ddf.value) == str(pattern.value)

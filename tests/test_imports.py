@@ -31,6 +31,26 @@ def test_verify_and_check_never_import_the_oracles(tmp_path):
     assert "concurrent.futures.process" not in modules
 
 
+def test_verify_and_check_load_neither_density_nor_statistics(tmp_path):
+    # every verify and check process would compile them (no bytecode is
+    # written where PYTHONDONTWRITEBYTECODE is set); only stats and density
+    # read them
+    script = (
+        "import json, sys\n"
+        "from maeda.cli import main\n"
+        f"codes = [main(['verify', '--from', '48', '--to', '60', '--seed', '1', "
+        f"'--out', {str(tmp_path)!r}]), main(['check', {str(tmp_path)!r}])]\n"
+        "print(json.dumps([codes, sorted(sys.modules)]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    codes, modules = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert "maeda.certify" in modules
+    assert not {"maeda.density", "statistics", "fractions"} & set(modules)
+
+
 def test_every_traced_name_resolves():
     # perfbench/trace_child.py wraps these by name; each must stay callable
     spec = importlib.util.spec_from_file_location(
