@@ -11,20 +11,22 @@ coefficient.  The modulus is checked once, where integer data enter F_p
 the functions that take an F_p array trust the p passed with it.
 
 Two regimes.  A trial of the search takes the characteristic polynomial of
-a d x d matrix and the pattern of a degree-d polynomial, and for most of
-them p > d and d <= 90.  There, :func:`charpoly_mod_p` and
-:func:`factorization_pattern` read their results off traces of matrix
-powers, a few BLAS products in all: the power sums tr(A^k) give the
-characteristic polynomial by Newton's identities, and the traces of the
-powers of the Frobenius matrix Q count the factors of each degree.  In every
-other case, the characteristic polynomial comes from a Hessenberg
-reduction, and the pattern from distinct-degree splitting with the
-Frobenius matrix and blocked gcds (von zur Gathen & Shoup, 1992; Kaltofen &
-Shoup, 1998), which take about d numpy steps one after another.  The rule
-is ``p > d and d * d < MAX_FLOAT_TERMS`` (:func:`_by_traces`): Newton's
-identities divide by every k <= d, a Frobenius trace is an integer up to d
-read from its residue, and a trace is one product of d^2 terms.  Both
-regimes give the same results; the tests compare them.
+a d x d matrix and the pattern of a degree-d polynomial, and for nearly all
+of them p > d.  There, :func:`charpoly_mod_p` reads the characteristic
+polynomial off traces of matrix powers, about 2 sqrt(d) BLAS products: the
+power sums tr(A^k) give it by Newton's identities.  Up to degree
+:data:`TRACE_PATTERN_MAX_DEGREE`, :func:`factorization_pattern` does the
+same with the Frobenius matrix Q: the traces of its powers count the
+factors of each degree.  Otherwise the characteristic polynomial comes from
+a Hessenberg reduction, and the pattern from distinct-degree splitting with
+the Frobenius matrix and blocked gcds (von zur Gathen & Shoup, 1992;
+Kaltofen & Shoup, 1998), which take about d numpy steps one after another.
+The traces need p > d (:func:`_by_traces`): Newton's identities divide by
+every k <= d, and a Frobenius trace is an integer up to d read from its
+residue.  The Hessenberg charpoly therefore runs only for p <= d, and
+splitting also above the measured crossover degree, where its O(d^3) beats
+the O(d^3.5) of the traces.  Both regimes give the same results; the tests
+compare them.
 
 Exactness.  With p < 2^20 a product of two residues is below 2^40.
 Series and polynomial products (``np.convolve``) run in int64 and sum at
@@ -35,10 +37,14 @@ run in float64 through BLAS (:func:`_matmul`, :func:`_matmul_residues`).
 float64 holds every integer below 2^53, so a sum of fewer than
 :data:`MAX_FLOAT_TERMS` = 2^13 products is exact, and both helpers assert
 that bound before each product; the trace kernels also assert their own
-size preconditions.  All traces of one matrix come from a single product
-whose sums run over the d^2 entries of two matrices, exact while
-d^2 < 2^13, that is d <= 90.  Newton's identities sum at most d products of
-residues in int64, below 2^47.  The paper's range, k <= 14000, has d <= 1166
+size preconditions.  A trace tr(M^a M^b) is a sum over the d^2 entries of
+two matrices, exact in one product only while d^2 < 2^13, that is d <= 90;
+:func:`_power_traces` cuts it into chunks of fewer than 2^13 terms, each an
+exact product reduced mod p, and adds the chunk residues: fewer than
+d^2 / 2^12 + 1 of them, each below 2^20, so their sum is exact at any d
+with d^2 < 2^45.  Newton's identities sum at most d products of residues in
+int64: at d <= 1166, below 1166 * 2^40 < 2^51, and since p > d on that
+path, below 2^60 at any d.  The paper's range, k <= 14000, has d <= 1166
 and series of length at most 2337.  Float results return to residues as
 ``astype(np.int64) % p``, or for whole matrices as x - floor(x / p) p,
 about twice as fast; ``np.fmod`` on float64 would be exact
@@ -95,63 +101,96 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def _matmul_residues(a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray | None = None
                      ) -> np.ndarray:
-    # a @ b mod p for float64 arrays of residues, as float64 residues; exact.
-    # For x = qp + r < 2^53 - 2^40 (fewer than 2^13 terms), x / p is
+    # a @ b mod p for float64 arrays of residues, as float64 residues; exact
+    assert a.shape[-1] < MAX_FLOAT_TERMS, "a float64 dot product could exceed 2^53"
+    return _reduce(np.matmul(a, b, out=out), p)
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    # x mod p in place, for float64 integers 0 <= x < 2^53 - 2^40, such as
+    # sums of fewer than 2^13 products of residues.  For x = qp + r, x / p is
     # correctly rounded and (q + 1)p < 2^53, so the spacing of doubles just
     # below q + 1 is under 2/p, while x / p lies at least 1/p below q + 1:
     # it rounds to less than q + 1, and its floor is q.  On a whole matrix
     # this is about twice as fast as the int64 remainder of _matmul
-    assert a.shape[-1] < MAX_FLOAT_TERMS, "a float64 dot product could exceed 2^53"
-    x = np.matmul(a, b, out=out)
-    x -= np.floor(x / p) * p
+    q = np.divide(x, p)
+    np.floor(q, out=q)
+    q *= p
+    x -= q
     return x
 
 
 def _by_traces(d: int, p: int) -> bool:
-    # the one selection rule: power traces for a d x d matrix or a degree-d
-    # polynomial need p > d (Newton's identities divide by k <= d; the
-    # Frobenius traces are integers up to d) and a d^2-term product
-    return p > d and d * d < MAX_FLOAT_TERMS
+    # power traces of a d x d matrix or a degree-d polynomial need p > d:
+    # Newton's identities divide by every k <= d, and a Frobenius trace is
+    # an integer up to d read from its residue
+    return p > d
+
+
+# The pattern of a degree-n polynomial comes from traces up to this degree,
+# and from distinct-degree splitting above it.  Per trial on T2 reductions at
+# 15 random primes in (2^19, 2^20), median ms, traces against splitting, on a
+# 2-core Xeon with numpy 2.4 (OpenBLAS): 19.7 / 36.7 at n = 200, 53-55 /
+# 62-63 at n = 300, 89 / 105 at n = 350, and 125-131 / 117-128 at n = 400
+# (two runs each at 300 and 400).  The traces grow as n^3.5 and splitting
+# as n^3, so the last n measured where the traces won is the limit
+TRACE_PATTERN_MAX_DEGREE = 350
 
 
 def _power_traces(M: np.ndarray, m: int, p: int) -> np.ndarray:
     # tr(M^i) mod p for 0 <= i <= m, M a d x d float64 array of residues, by
-    # Paterson-Stockmeyer baby and giant steps: M^a for a < s and
-    # (M^T)^(bs), then tr(M^(a + bs)) = <M^a, (M^T)^(bs)>, every pair in one
-    # d^2-term float product (exact while d^2 < MAX_FLOAT_TERMS)
+    # Paterson-Stockmeyer baby and giant steps.  The babies M^a, a < s, are
+    # kept; the giants G_b = (M^T)^(bs) are made one at a time, so at most
+    # s + 3 matrices are live.  The steps take s - 2 + ceil((m + 1) / s)
+    # products, and s is the least that makes this fewest.
+    # tr(M^(a + bs)) = <M^a, G_b>, a sum over the d^2 entries taken in
+    # chunks of fewer than MAX_FLOAT_TERMS terms: each chunk is an exact
+    # float product, reduced mod p, and the chunks are added up and reduced
+    # once more
     d = M.shape[0]
-    assert d * d < MAX_FLOAT_TERMS, "a d^2-term float64 product could exceed 2^53"
-    s = math.isqrt(m) + 1
+    s = min(range(1, math.isqrt(m) + 2), key=lambda s: s - (-(m + 1) // s))
     giants = -(-(m + 1) // s)
+    chunks = -(-d * d // (MAX_FLOAT_TERMS - 1)) or 1
+    size = -(-d * d // chunks)
+    assert size < MAX_FLOAT_TERMS, "a chunk's float64 product could exceed 2^53"
+    assert chunks * p < 2**53, "a sum of chunk residues could exceed 2^53"
     baby = np.empty((s, d, d))
     baby[0] = np.eye(d)
     for a in range(1, s):
         _matmul_residues(baby[a - 1], M, p, out=baby[a])
-    giant = np.empty((giants, d, d))
-    giant[0] = np.eye(d)
+    flat = baby.reshape(s, d * d)
+    part = np.zeros((giants, chunks, s))  # part[b, c, a]: chunk c of <M^a, G_b>
+    part[0, 0] = flat[:, :: d + 1].sum(axis=1)  # G_0 = I: the babies' traces
     if giants > 1:
-        giant[1] = _matmul_residues(baby[s - 1], M, p).T
-    for b in range(2, giants):
-        _matmul_residues(giant[b - 1], giant[1], p, out=giant[b])
-    pairs = _matmul_residues(baby.reshape(s, d * d), giant.reshape(giants, d * d).T, p)
-    return pairs.T.reshape(-1)[: m + 1].astype(np.int64)  # entry a + bs is tr(M^(a + bs))
+        step = giant = _matmul_residues(M.T, baby[s - 1].T, p)  # G_1 = (M^s)^T
+    for b in range(1, giants):
+        g = giant.reshape(-1)
+        for c in range(chunks):
+            chunk = slice(c * size, (c + 1) * size)
+            np.matmul(flat[:, chunk], g[chunk], out=part[b, c])
+        if b + 1 < giants:
+            giant = _matmul_residues(giant, step, p)
+    traces = _reduce(part, p).sum(axis=1)  # entry (b, a), below chunks p
+    return traces.reshape(-1)[: m + 1].astype(np.int64) % p
 
 
 def charpoly_mod_p(A: np.ndarray, p: int) -> np.ndarray:
     """Monic characteristic polynomial of the square matrix A over F_p.
 
-    A may hold any integers; they are reduced mod p.  When p > d and
-    d^2 < :data:`MAX_FLOAT_TERMS` (d <= 90), the power sums tr(A^k), k <= d,
-    come from about 2 sqrt(d) matrix products (Paterson & Stockmeyer, SIAM
-    J. Comput. 2, 1973) and give the coefficients by Newton's identities
-    (the Le Verrier-Faddeev method; Faddeev & Faddeeva, *Computational
-    Methods of Linear Algebra*, 1963).  Otherwise the matrix is reduced to
-    upper Hessenberg form by a similarity built from pivoted eliminations,
-    and the leading-minor recurrence runs on it (Cohen, *A Course in
-    Computational Algebraic Number Theory*, sec. 2.2.4).  Both are
-    deterministic.  The Hessenberg route is O(d^3) in about 2d numpy steps
-    one after another; the traces cost O(d^3.5) in about 2 sqrt(d) steps,
-    which is faster while d is small enough for their products to be exact.
+    A may hold any integers; they are reduced mod p.  When p > d, the power
+    sums tr(A^k), k <= d, come from about 2 sqrt(d) matrix products
+    (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973) and give the
+    coefficients by Newton's identities (the Le Verrier-Faddeev method;
+    Faddeev & Faddeeva, *Computational Methods of Linear Algebra*, 1963).
+    Otherwise the matrix is reduced to upper Hessenberg form by a
+    similarity built from pivoted eliminations, and the leading-minor
+    recurrence runs on it (Cohen, *A Course in Computational Algebraic
+    Number Theory*, sec. 2.2.4).  Both are deterministic.  The Hessenberg
+    route is O(d^3) in about 2d numpy steps one after another; the traces
+    cost O(d^3.5) in about 2 sqrt(d) steps.  On T2 at primes near 2^20,
+    traces against Hessenberg took 2.8 against 9.1 ms at d = 100, 18 against
+    36-39 ms at d = 200, 0.15-0.17 against 0.24-0.26 s at d = 400, and
+    1.4-1.6 against 2.3-2.5 s at d = 800, so the traces run whenever p > d.
     """
     h = np.asarray(A, dtype=np.int64) % p
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -164,7 +203,8 @@ def charpoly_mod_p(A: np.ndarray, p: int) -> np.ndarray:
 def _charpoly_traces(h: np.ndarray, p: int) -> np.ndarray:
     # Newton's identities for f = X^d + c_1 X^(d-1) + ... + c_d and the power
     # sums s_i = tr(h^i): k c_k = -(s_k + sum_{i<k} c_(k-i) s_i).  Each sum is
-    # an int64 dot product of at most 90 terms below 2^40, so below 2^47
+    # an int64 dot product of fewer than d terms below 2^40: at d <= 1166,
+    # below 1166 * 2^40 < 2^51, and as p > d, below 2^60 at any d
     d = h.shape[0]
     assert p > d, "Newton's identities divide by every k <= d"
     s = _power_traces(h.astype(np.float64), d, p)
@@ -471,7 +511,7 @@ def factorization_pattern(f: np.ndarray, p: int) -> Pattern:
     ValueError on input that is not monic or not squarefree, where the
     pattern would be ill-defined.
 
-    When p > n = deg f and n^2 < :data:`MAX_FLOAT_TERMS` (n <= 90), the
+    When p > n = deg f and n <= :data:`TRACE_PATTERN_MAX_DEGREE`, the
     pattern is read off traces.  F_p[X]/(f) is the product of the fields
     F_(p^e), one per irreducible factor of degree e, and on F_(p^e) the
     i-th power of Frobenius has trace e if e divides i and 0 otherwise: it
@@ -485,11 +525,13 @@ def factorization_pattern(f: np.ndarray, p: int) -> Pattern:
     the number c_e of factors of degree e <= n/2, and the degree left over
     is one factor of degree > n/2.  The traces for i <= n/2 take about
     2 sqrt(n/2) matrix products (see :func:`charpoly_mod_p`).  Otherwise the
-    pattern comes from :func:`distinct_degree_split`.
+    pattern comes from :func:`distinct_degree_split`: for p <= n, where a
+    trace cannot be read as an integer, and above the crossover degree,
+    where splitting's O(n^3) is faster.
     """
     f = np.asarray(f, dtype=np.int64)
     n = len(f) - 1
-    if n < 2 or not _by_traces(n, p):
+    if n < 2 or n > TRACE_PATTERN_MAX_DEGREE or not _by_traces(n, p):
         split = distinct_degree_split(f, p)
         return Pattern.from_pairs((i, (len(g) - 1) // i) for i, g in split.items())
     return _pattern_traces(f, p)

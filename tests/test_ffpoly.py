@@ -1,6 +1,7 @@
 """Prime-field matrices, characteristic polynomials, and factorization patterns."""
 
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
 from _oracles import charpoly_det_expansion, poly_divmod, poly_mul, trial_factor_pattern
+from maeda import ffpoly
 from maeda.ffpoly import (
     MAX_FLOAT_TERMS,
     MAX_MODULUS,
+    TRACE_PATTERN_MAX_DEGREE,
     _by_traces,
     _charpoly_hessenberg,
     _charpoly_traces,
@@ -292,19 +295,35 @@ def irreducible_count(p: int, m: int) -> int:
     return sum(_mobius(e) * p ** (m // e) for e in range(1, m + 1) if m % e == 0) // m
 
 
+def shifted_binomial(rng: random.Random, p: int, m: int) -> list[int]:
+    """(X + c)^m - g over F_p, lowest degree first, for a random c and a
+    primitive root g: irreducible when every prime factor of m divides
+    p - 1, and 4 divides p - 1 if 4 divides m (Lidl & Niederreiter,
+    *Finite Fields*, Thm. 3.75)."""
+    c = rng.randrange(p)
+    low_first = [comb(m, j) * pow(c, m - j, p) % p for j in range(m + 1)]
+    low_first[0] = (low_first[0] - sympy.primitive_root(p)) % p
+    return low_first
+
+
 def planted_polynomial(rng: random.Random, p: int, shape) -> tuple[list[int], list[list[int]]]:
     """Product of distinct random monic irreducibles of the given degrees.
 
     Returns the product and the factors, lowest degree first; each factor
     is certified irreducible by sympy.  Degrees with more factors than F_p
-    has irreducibles of that degree must not be asked for.
+    has irreducibles of that degree must not be asked for.  A random
+    polynomial of degree m is irreducible with probability about 1/m, so a
+    factor of degree 48 or more is a shifted binomial instead, and needs p
+    to meet the conditions of :func:`shifted_binomial`.
     """
     factors: list[list[int]] = []
     for m in shape:
         while True:
-            high_first = [1] + [rng.randrange(p) for _ in range(m)]
-            low_first = high_first[::-1]
-            if low_first not in factors and gf_irreducible_p(high_first, p, ZZ):
+            if m >= 48:
+                low_first = shifted_binomial(rng, p, m)
+            else:
+                low_first = [rng.randrange(p) for _ in range(m)] + [1]
+            if low_first not in factors and gf_irreducible_p(low_first[::-1], p, ZZ):
                 break
         factors.append(low_first)
     product = [1]
@@ -313,7 +332,9 @@ def planted_polynomial(rng: random.Random, p: int, shape) -> tuple[list[int], li
     return product, factors
 
 
-def check_planted(rng: random.Random, p: int, shape) -> None:
+def check_planted(rng: random.Random, p: int, shape) -> np.ndarray:
+    """Plant the shape, check factorization_pattern, sympy and the split
+    subproducts against it, and return the product."""
     product, factors = planted_polynomial(rng, p, shape)
     f = np.array(product, dtype=np.int64)
     expected = Pattern.from_lengths(shape)
@@ -332,6 +353,7 @@ def check_planted(rng: random.Random, p: int, shape) -> None:
         assert g.tolist() == planted_i, (p, shape, i)
         multiplied = poly_mul(multiplied, g.tolist(), p)
     assert multiplied == product
+    return f
 
 
 @st.composite
@@ -439,8 +461,9 @@ def test_divmod_matches_long_division_oracle():
 
 
 def test_float_residue_product_is_exact_at_the_worst_case():
-    # the trace path's largest product: d^2 = 8100 terms, every residue p - 1
-    p, n = 1048573, 90 * 90
+    # the longest product allowed, a full chunk of a trace: 2^13 - 1 terms,
+    # every residue p - 1
+    p, n = 1048573, MAX_FLOAT_TERMS - 1
     a = np.full((2, n), p - 1, dtype=np.float64)
     b = np.full((n, 3), p - 1, dtype=np.float64)
     exact = n * (p - 1) ** 2
@@ -461,10 +484,10 @@ def test_float_residue_product_is_exact_at_the_worst_case():
 
 
 # ---------------------------------------------------------------------------
-# the trace path (p > d, d <= 90) against the Hessenberg and distinct-degree
-# code it replaced there: charpoly_mod_p and factorization_pattern now take
-# it on nearly every trial of the search, so each regime is pinned against
-# the other, and against independent oracles
+# the trace path (p > d) against the Hessenberg and distinct-degree code it
+# replaced there: charpoly_mod_p and factorization_pattern take it on nearly
+# every trial of the search, so each regime is pinned against the other, and
+# against independent oracles
 
 def next_prime(n: int) -> int:
     """The least prime above n."""
@@ -568,33 +591,53 @@ def test_trace_pattern_matches_ddf_and_sympy_on_T2_reductions(k):
     assert checked >= 3
 
 
-def test_selection_boundary_in_d_and_p():
-    assert _by_traces(90, 97) and not _by_traces(91, 97)
+@pytest.fixture
+def paths(monkeypatch) -> list[str]:
+    """The kernels charpoly_mod_p and factorization_pattern call, in order."""
+    taken: list[str] = []
+    for name, kernel in (("traces", "_charpoly_traces"), ("hessenberg", "_charpoly_hessenberg"),
+                         ("traces", "_pattern_traces"), ("split", "distinct_degree_split")):
+        original = getattr(ffpoly, kernel)
+        monkeypatch.setattr(ffpoly, kernel, lambda *a, _f=original, _n=name: taken.append(_n) or _f(*a))
+    return taken
+
+
+def test_selection_boundary_in_d_and_p(paths):
     assert _by_traces(30, 31) and not _by_traces(31, 31) and not _by_traces(30, 29)
-    # d = 90 against 91 (k = 1080, 1092): the paths agree at 90, and the
-    # traces refuse 91, whose d^2-term products could be inexact
-    for k, d in ((1080, 90), (1092, 91)):
-        p = 1048573
-        m = hecke.hecke_matrix_T2(k, p)
-        assert m.shape == (d, d)
-        hessenberg = _charpoly_hessenberg(m.copy(), p)
-        assert charpoly_mod_p(m, p).tolist() == hessenberg.tolist()
-        if d == 90:
-            assert _charpoly_traces(m, p).tolist() == hessenberg.tolist()
+    assert _by_traces(1000, 1009) and not _by_traces(1009, 1009)
+    # the charpoly at p = d against the next prime, d = 101 (k = 1212): p = 101
+    # takes Hessenberg, and the traces refuse it, since Newton's identities
+    # divide by 101; p = 103 takes the traces
+    for p in (101, 103):
+        m = hecke.hecke_matrix_T2(1212, p)
+        assert m.shape == (101, 101)
+        paths.clear()
+        fp = charpoly_mod_p(m, p)
+        assert paths == (["traces"] if p == 103 else ["hessenberg"])
+        assert fp.tolist() == _charpoly_hessenberg(m.copy(), p).tolist()
+        if p == 103:
+            assert fp.tolist() == _charpoly_traces(m, p).tolist()
         else:
             with pytest.raises(AssertionError):
                 _charpoly_traces(m, p)
-    # degree 90 against 91 polynomials, all linear over F_97
-    for n in (90, 91):
-        product, _ = planted_polynomial(random.Random(n), 97, (1,) * n)
+    # the pattern at the crossover degree against one more, p = 1048573:
+    # traces, then distinct-degree splitting; both paths agree on either
+    for n in (TRACE_PATTERN_MAX_DEGREE, TRACE_PATTERN_MAX_DEGREE + 1):
+        shape = (1,) * (n - 16) + (2,) * 3 + (3, 7)
+        product, _ = planted_polynomial(random.Random(n), 1048573, shape)
         f = np.array(product, dtype=np.int64)
-        assert factorization_pattern(f, 97) == ddf_pattern(f, 97) == Pattern.from_pairs([(1, n)])
+        paths.clear()
+        assert factorization_pattern(f, 1048573) == Pattern.from_lengths(shape)
+        assert paths == (["traces"] if n == TRACE_PATTERN_MAX_DEGREE else ["split"])
+        assert _pattern_traces(f, 1048573) == ddf_pattern(f, 1048573) == Pattern.from_lengths(shape)
     # p <= d against p > d at d = 30 (k = 360): p = 29 takes Hessenberg and
     # distinct-degree splitting, and the traces refuse it, since Newton's
     # identities divide by 29 and a Frobenius trace of 30 reads as 1
     for p in (29, 31):
         m = hecke.hecke_matrix_T2(360, p)
+        paths.clear()
         fp = charpoly_mod_p(m, p)
+        assert paths == (["traces"] if p > 30 else ["hessenberg"])
         assert fp.tolist() == _charpoly_hessenberg(m.copy(), p).tolist()
         if p > 30:
             assert fp.tolist() == _charpoly_traces(m, p).tolist()
@@ -602,9 +645,79 @@ def test_selection_boundary_in_d_and_p():
             with pytest.raises(AssertionError):
                 _charpoly_traces(m, p)
     f = np.array(planted_polynomial(random.Random(3), 29, (1, 2, 3, 24))[0], dtype=np.int64)
+    paths.clear()
     assert factorization_pattern(f, 29) == Pattern.from_lengths((1, 2, 3, 24))
+    assert paths == ["split"]
     with pytest.raises(AssertionError):
         _pattern_traces(f, 29)
+
+
+@pytest.mark.parametrize("d, chunks", [(91, 2), (128, 3)])
+def test_chunked_power_traces_are_exact_at_the_worst_case(d, chunks):
+    # every entry p - 1 at the largest p, where a chunk of M itself sums
+    # up to 2^13 - 1 terms of (p - 1)^2, next to 2^53.  M^i is
+    # (p - 1)^i d^(i - 1) times the all-ones matrix, so tr(M^i) = (d (p - 1))^i
+    p = 1048573
+    assert -(-d * d // (MAX_FLOAT_TERMS - 1)) == chunks
+    m = np.full((d, d), p - 1.0)
+    assert _power_traces(m, d, p).tolist() == [d] + [pow(d * (p - 1), i, p) for i in range(1, d + 1)]
+    # entries next to p - 1, against Python-int traces up to M^4:
+    # tr(M^(2j + e)) = <M^(j + e), (M^j)^T>
+    rng = np.random.default_rng(d)
+    m = rng.integers(p - 1000, p, size=(d, d)).astype(object)
+    square = m.dot(m) % p
+    expected = [d, m.trace(), square.trace(), (square * m.T).sum(), (square * square.T).sum()]
+    assert _power_traces(m.astype(np.float64), 4, p).tolist() == [int(t) % p for t in expected]
+
+
+@pytest.mark.parametrize("k", [1092, 1200, 2400, 4800])  # d = 91, 100, 200, 400
+def test_chunked_trace_charpoly_equals_hessenberg_on_T2(k):
+    d = hecke.dim_cusp_forms(k)
+    for p in (1048573, 1048571) if d < 400 else (1048559,):
+        m = hecke.hecke_matrix_T2(k, p)
+        assert m.shape == (d, d) and _by_traces(d, p)
+        traced = _charpoly_traces(m, p)
+        assert_poly(traced, p)
+        assert traced.tolist() == _charpoly_hessenberg(m.copy(), p).tolist(), (k, p)
+
+
+@pytest.mark.parametrize(
+    "p, shape",
+    [
+        (1048573, (1,) * 90 + (2,) * 5),  # n = 100, many linear factors
+        (193, (1,) * 20 + (2, 2, 3, 4, 5, 64)),  # n = 100, a factor above n/2
+        (1048573, (1,) * 130 + (2,) * 6 + (3, 5)),  # n = 150, many linear factors
+        (193, (1,) * 30 + (2,) * 6 + (3, 4, 5, 96)),  # n = 150, a factor above n/2
+    ],
+)
+def test_trace_pattern_above_degree_90_matches_ddf_and_sympy(p, shape):
+    # check_planted checks distinct_degree_split directly, whose subproducts
+    # the search no longer meets at these degrees
+    f = check_planted(random.Random(len(shape) + p), p, shape)
+    assert 90 < len(f) - 1 <= TRACE_PATTERN_MAX_DEGREE and _by_traces(len(f) - 1, p)
+    assert _pattern_traces(f, p) == Pattern.from_lengths(shape)
+
+
+@pytest.mark.parametrize("k", [1200, 2400, 4800])  # d = 100, 200, 400
+def test_pattern_paths_on_T2_reductions_above_degree_90(k, paths):
+    # traces for p > d up to the crossover degree; splitting for p <= d (at
+    # d = 100 every such reduction has a repeated factor) and above it
+    d = hecke.dim_cusp_forms(k)
+    below = [q for q in sieve_primes(d + 1) if q > d - 20]
+    checked = {"traces": 0, "split": 0}
+    for p in below + [next_prime(d), 1048571, 1048573]:
+        fp = charpoly_mod_p(hecke.hecke_matrix_T2(k, p), p)
+        if not is_squarefree(fp, p):
+            continue
+        paths.clear()
+        got = factorization_pattern(fp, p)
+        path = "traces" if p > d and d <= TRACE_PATTERN_MAX_DEGREE else "split"
+        assert paths == [path], (k, p)
+        assert got == ddf_pattern(fp, p), (k, p)
+        if p > d:
+            assert got == _pattern_traces(fp, p), (k, p)
+        checked[path] += 1
+    assert checked["traces" if d <= TRACE_PATTERN_MAX_DEGREE else "split"] >= 2, checked
 
 
 def test_power_traces_of_a_permutation_matrix():

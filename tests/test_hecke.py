@@ -164,7 +164,7 @@ def _benchmark_oracle():
 @pytest.mark.parametrize("k, p", [(2400, 1048573), (2400, 1048559), (4800, 1048571)])
 def test_t2_charpoly_at_large_d_matches_independent_int64_build(k, p):
     # d = 200 and 400, primes just below 2^20: every float64 sum of the
-    # builder and the Hessenberg charpoly is at its largest here
+    # builder and the chunked trace charpoly is at its largest here
     oracle = _benchmark_oracle()
     expected = oracle.charpoly_krylov(oracle.t2_matrix_mod_p(k, p), p)
     assert charpoly_mod_p(hecke.hecke_matrix_T2(k, p), p).tolist() == expected
