@@ -17,38 +17,48 @@ polynomial off traces of matrix powers, about 2 sqrt(d) BLAS products: the
 power sums tr(A^k) give it by Newton's identities.  Up to degree
 :data:`TRACE_PATTERN_MAX_DEGREE`, :func:`factorization_pattern` does the
 same with the Frobenius matrix Q: the traces of its powers count the
-factors of each degree.  Otherwise the characteristic polynomial comes from
-a Hessenberg reduction, and the pattern from distinct-degree splitting with
+factors of each degree.  Up to :data:`TRACE_SQUAREFREE_MAX_DEGREE`,
+:func:`is_squarefree` takes those traces to the full degree, which count
+the distinct factors of each degree, and the pattern reuses them.  Q itself
+is built by baby and giant steps: about sqrt(d) rows one at a time, then
+each block of sqrt(d) rows in one product.  Otherwise the characteristic
+polynomial comes from a Hessenberg reduction, squarefreeness from a gcd
+with the derivative, and the pattern from distinct-degree splitting with
 the Frobenius matrix and blocked gcds (von zur Gathen & Shoup, 1992;
 Kaltofen & Shoup, 1998), which take about d numpy steps one after another.
 The traces need p > d (:func:`_by_traces`): Newton's identities divide by
 every k <= d, and a Frobenius trace is an integer up to d read from its
-residue.  The Hessenberg charpoly therefore runs only for p <= d, and
-splitting also above the measured crossover degree, where its O(d^3) beats
-the O(d^3.5) of the traces.  Both regimes give the same results; the tests
-compare them.
+residue.  The Hessenberg charpoly therefore runs only for p <= d, and the
+gcd and splitting also above their measured crossover degrees, where their
+O(d^2) and O(d^3) beat the O(d^3.5) of the traces.  Both regimes give the
+same results; the tests compare them.
 
-Exactness.  With p < 2^20 a product of two residues is below 2^40.
-Series and polynomial products (``np.convolve``) run in int64 and sum at
-most n such products, n the length, so they are exact while n < 2^23;
-polynomials here have degree at most the matrix size, and an n x n matrix
-with n >= 2^23 would take 512 TiB.  Dense vector-matrix and matrix products
-run in float64 through BLAS (:func:`_matmul`, :func:`_matmul_residues`).
-float64 holds every integer below 2^53, so a sum of fewer than
-:data:`MAX_FLOAT_TERMS` = 2^13 products is exact, and both helpers assert
-that bound before each product; the trace kernels also assert their own
-size preconditions.  A trace tr(M^a M^b) is a sum over the d^2 entries of
-two matrices, exact in one product only while d^2 < 2^13, that is d <= 90;
-:func:`_power_traces` cuts it into chunks of fewer than 2^13 terms, each an
-exact product reduced mod p, and adds the chunk residues: fewer than
-d^2 / 2^12 + 1 of them, each below 2^20, so their sum is exact at any d
-with d^2 < 2^45.  Newton's identities sum at most d products of residues in
+Exactness.  With p < 2^20 a product of two residues is below 2^40, and
+float64 holds every integer below 2^53, so a float64 sum of fewer than
+:data:`MAX_FLOAT_TERMS` = 2^13 such products is exact.  Dense vector-matrix
+and matrix products run in float64 through BLAS (:func:`_matmul`,
+:func:`_matmul_residues`), and series products and Newton inverses through
+``np.convolve`` in float64 (:func:`_convolve`); each of the three helpers
+asserts the bound on its terms per sum before it multiplies.  The baby and
+giant products sum at most one row length per entry: the size of the
+matrix here, and for the series of :mod:`maeda.qseries` their length, at
+most 6000.  Doubling the reduction rows sums at most d + 1 terms.  The
+trace kernels also assert their own size preconditions.  A trace
+tr(M^a M^b) is a sum over the d^2 entries of two matrices, exact in one
+product only while d^2 < 2^13, that is d <= 90; :func:`_power_traces` cuts
+it into chunks of fewer than 2^13 terms, each an exact product reduced mod
+p, and adds the chunk residues: fewer than d^2 / 2^12 + 1 of them, each
+below 2^20, so their sum is exact at any d with d^2 < 2^45.  The products
+of the gcd and of distinct-degree splitting run in int64, which sums at
+most n products below 2^40, exact while n < 2^23; polynomials here have
+degree at most the matrix size, and an n x n matrix with n >= 2^23 would
+take 512 TiB.  Newton's identities sum at most d products of residues in
 int64: at d <= 1166, below 1166 * 2^40 < 2^51, and since p > d on that
 path, below 2^60 at any d.  The paper's range, k <= 14000, has d <= 1166
 and series of length at most 2337.  Float results return to residues as
-``astype(np.int64) % p``, or for whole matrices as x - floor(x / p) p,
-about twice as fast; ``np.fmod`` on float64 would be exact
-too, but measured about 30 times slower (150 ns against 4.6 ns per
+``% p``, as ``astype(np.int64) % p``, or for whole matrices as
+x - floor(x / p) p, about twice as fast; ``np.fmod`` on float64 would be
+exact too, but measured about 30 times slower (150 ns against 4.6 ns per
 element).
 """
 
@@ -58,7 +68,7 @@ import functools
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .patterns import Pattern
 from .primes import MAX_MODULUS, check_modulus
@@ -104,6 +114,15 @@ def _matmul_residues(a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray | Non
     # a @ b mod p for float64 arrays of residues, as float64 residues; exact
     assert a.shape[-1] < MAX_FLOAT_TERMS, "a float64 dot product could exceed 2^53"
     return _reduce(np.matmul(a, b, out=out), p)
+
+
+def _convolve(a: np.ndarray, b: np.ndarray, p: int, start: int = 0, stop: int | None = None
+              ) -> np.ndarray:
+    # coefficients start..stop-1 of a b mod p, for residue arrays of which
+    # one at least is float64, as float64 residues; exact: each sums at most
+    # min(len a, len b) products
+    assert min(len(a), len(b)) < MAX_FLOAT_TERMS, "a float64 convolution could exceed 2^53"
+    return np.convolve(a, b)[start:stop] % p
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
@@ -274,13 +293,14 @@ def _degree_scan(buf: np.ndarray, start: int) -> int:
 
 
 def _inverse(f: np.ndarray, p: int) -> np.ndarray:
-    # 1/f mod X^len(f) for residues f with f[0] = 1, by Newton's iteration:
-    # if f g = 1 + X^m e mod X^n, then 1/f = g - X^m g e mod X^n, n <= 2m
-    g = np.ones(1, dtype=np.int64)
+    # 1/f mod X^len(f) for residues f with f[0] = 1, as float64 residues, by
+    # Newton's iteration: if f g = 1 + X^m e mod X^n, then 1/f = g - X^m g e
+    # mod X^n, n <= 2m
+    g = np.ones(1)
     while len(g) < len(f):
         m, n = len(g), min(2 * len(g), len(f))
-        e = np.convolve(f[:n], g)[m:n] % p
-        g = np.concatenate((g, -np.convolve(g, e)[: n - m] % p))
+        e = _convolve(f[:n], g, p, m, n)
+        g = np.concatenate((g, -_convolve(g, e, p, 0, n - m) % p))
     return g
 
 
@@ -294,8 +314,8 @@ def _divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
     lead_inv = pow(int(b[-1]), p - 2, p)
     rev_b = np.zeros(n, dtype=np.int64)
     rev_b[: min(n, db + 1)] = b[::-1][:n] * lead_inv % p
-    q = np.convolve(a[::-1][:n], _inverse(rev_b, p))[:n] % p * lead_inv % p
-    q = q[::-1].copy()
+    q = _convolve(a[::-1][:n], _inverse(rev_b, p), p, 0, n) * lead_inv % p
+    q = q[::-1].astype(np.int64)
     if not db:
         return q, a[:0].copy()
     r = (a[:db] - np.convolve(q[:db], b[:db])[:db]) % p  # a - q b has degree < db
@@ -343,20 +363,21 @@ def _gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _reduction_rows(f: np.ndarray, p: int) -> np.ndarray:
-    # float64 rows[j] = X^(d+j) mod f for 0 <= j <= d-2, f monic of degree d >= 2
+    # float64 rows[j] = X^(d+j) mod f for 0 <= j <= d-2, f monic of degree
+    # d >= 2, by doubling: X^(d+j+m) is X^(d+j) times X^m, whose terms from
+    # X^d on are m rows already made, so rows m..2m-1 are one product with
+    # rows 0..m-1 (m + 1 terms per sum)
     d = len(f) - 1
-    rows = np.zeros((d - 1, d), dtype=np.int64)
-    base = (-f[:d]) % p
-    rows[0] = base
-    for j in range(1, d - 1):
-        prev = rows[j - 1]
-        r = np.zeros(d, dtype=np.int64)
-        r[1:] = prev[:-1]
-        top = int(prev[d - 1])
-        if top:
-            r = (r + top * base) % p
-        rows[j] = r
-    return rows.astype(np.float64)
+    rows = np.zeros((d - 1, d))
+    rows[0] = (-f[:d]) % p
+    m = 1
+    while m < d - 1:
+        t = min(m, d - 1 - m)
+        block = _matmul_residues(rows[:t, d - m :], rows[:m], p)
+        block[:, m:] += rows[:t, : d - m]
+        rows[m : m + t] = _reduce(block, p)
+        m += t
+    return rows
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
@@ -390,24 +411,56 @@ def _x_power(e: int, rows: np.ndarray, p: int) -> np.ndarray:
     return h
 
 
-def is_squarefree(f: np.ndarray, p: int) -> bool:
-    """True iff gcd(f, f') is constant, i.e. f has no repeated roots.
+# On the trace path, squarefreeness comes from the traces of the Frobenius
+# matrix up to this degree, and from a gcd with the derivative above it.
+# Squarefree test plus pattern per trial on T2 reductions at 10-15 random
+# primes in (2^19, 2^20), median ms, traces to n against the gcd plus traces
+# to n/2, on a 2-core Xeon with numpy 2.4 (OpenBLAS): 3.3 / 4.4 at n = 90,
+# 6.5 / 7.2 at n = 120, 7.8 / 8.4 at n = 130, 10.5-10.7 / 10.6-10.7 at
+# n = 150 (two runs), 11.0 / 10.5 at n = 160, 15.6 / 14.3 at n = 175 and
+# 21.7 / 18.8 at n = 200.  The traces to n cost about twice the products of
+# the traces to n/2, and the gcd grows only as n^2, so the last n measured
+# where the traces did not lose is the limit
+TRACE_SQUAREFREE_MAX_DEGREE = 150
 
-    The last answer is cached, keyed on p and the coefficients: a search
-    tests f and then factors it, and the factoring entry points test it again
-    before splitting.
+
+def is_squarefree(f: np.ndarray, p: int) -> bool:
+    """True iff f has no repeated irreducible factor over F_p.
+
+    When f is monic, p > n = deg f and 2 <= n <=
+    :data:`TRACE_SQUAREFREE_MAX_DEGREE`, the answer comes from the traces
+    of the Frobenius matrix Q to n.  On
+    F_p[X]/(g^m), g irreducible of degree e, Frobenius maps the ideal
+    (g)^j into (g)^(pj), inside (g)^(j+1), so on every graded piece of the
+    (g)-adic filtration but the residue field F_(p^e) it is nilpotent.  So
+    tr(Q^i) is the total degree of the *distinct* irreducible factors of f
+    whose degree divides i, an integer up to n < p, and Möbius inversion of
+    the traces to n gives the factor degrees of the radical of f (see
+    :func:`factorization_pattern`): f is squarefree iff they add up to n.
+    Otherwise gcd(f, f') is taken, and f is squarefree iff it is constant.
+
+    The last answer is cached, keyed on p and the coefficients, and on the
+    trace path with it the factor degrees: a search tests f and then
+    factors it, and the factoring entry points test it again and read the
+    degrees instead of building Q again.
     """
     f = np.asarray(f, dtype=np.int64)
     if not f.any():
         raise ValueError("squarefreeness is undefined for the zero polynomial")
-    return _is_squarefree(p, f.tobytes())
+    return _squarefree(p, f.tobytes())[0]
 
 
 @functools.lru_cache(maxsize=1)
-def _is_squarefree(p: int, coeffs: bytes) -> bool:
+def _squarefree(p: int, coeffs: bytes) -> tuple[bool, tuple[int, ...] | None]:
+    # (squarefree?, the sieved traces of _factor_degrees to n, or None off
+    # the trace path)
     f = np.frombuffer(coeffs, dtype=np.int64)
+    n = len(f) - 1
+    if 2 <= n <= TRACE_SQUAREFREE_MAX_DEGREE and _by_traces(n, p) and f[-1] == 1:
+        found = _factor_degrees(f, n, p)
+        return sum(found) == n, found
     derivative = f[1:] * np.arange(1, len(f)) % p
-    return len(_gcd(f, derivative, p)) <= 1
+    return len(_gcd(f, derivative, p)) <= 1, None
 
 
 def _require_monic_squarefree(f: np.ndarray, p: int) -> None:
@@ -417,23 +470,50 @@ def _require_monic_squarefree(f: np.ndarray, p: int) -> None:
         raise ValueError("distinct-degree splitting requires a squarefree polynomial")
 
 
+def _toeplitz(w: np.ndarray, cols: int) -> np.ndarray:
+    # contiguous float64 len(w) x cols matrix whose row j is X^j w cut at
+    # X^cols, so x @ _toeplitz(w, len(w)) is the product x w cut at
+    # X^len(w): row j starts j zeros before w in a zero-padded copy, read
+    # with a negative row stride, and every index stays inside the copy
+    n = len(w)
+    padded = np.zeros(n - 1 + max(n, cols))
+    padded[n - 1 : 2 * n - 1] = w
+    step = padded.strides[0]
+    rows = as_strided(padded[n - 1 :], shape=(n, cols), strides=(-step, step))
+    return np.ascontiguousarray(rows)
+
+
+def _times(h: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    # float64 matrix of multiplication by h mod the monic f behind ``rows``,
+    # deg h < n = deg f: row j is X^j h mod f, h shifted by j, its terms from
+    # X^n on reduced by the rows
+    n = len(h)
+    shifted = _toeplitz(h, 2 * n - 1)
+    out = _matmul_residues(shifted[:, n:], rows, p)
+    out += shifted[:, :n]
+    return _reduce(out, p)
+
+
 def _frobenius(f: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     # for monic f of degree n >= 2: the float64 reduction rows of f, and the
     # float64 Frobenius matrix Q of F_p[X]/(f), whose row r is X^(rp) mod f.
-    # Row r is row r-1 times the matrix of multiplication by X^p, whose row
-    # j is X^j xp mod f: xp shifted by j, its terms from X^n on reduced by
-    # the rows
+    # Baby steps: rows 1..s, s = isqrt(n), each the one before times the
+    # matrix of multiplication by X^p.  Giant steps: each later block of s
+    # rows is the block before times the matrix of multiplication by
+    # X^(sp), row s, in one product
     n = len(f) - 1
     rows = _reduction_rows(f, p)
-    xp = _x_power(p, rows, p)
-    shifted = np.ascontiguousarray(sliding_window_view(
-        np.concatenate((np.zeros(n - 1), xp, np.zeros(n - 1))), 2 * n - 1)[::-1])
-    times_xp = (shifted[:, :n].astype(np.int64) + _matmul(shifted[:, n:], rows, p)) % p
-    times_xp = times_xp.astype(np.float64)
+    times_xp = _times(_x_power(p, rows, p).astype(np.float64), rows, p)
+    s = math.isqrt(n)
     frob = np.zeros((n, n))
     frob[0, 0] = 1
-    for r in range(1, n):
+    for r in range(1, min(s + 1, n)):
         frob[r] = _matmul(frob[r - 1], times_xp, p)
+    if s + 1 < n:
+        giant = _times(frob[s], rows, p)
+        for r in range(s + 1, n, s):
+            t = min(s, n - r)
+            frob[r : r + t] = _matmul(frob[r - s : r - s + t], giant, p)
     return rows, frob
 
 
@@ -522,12 +602,16 @@ def factorization_pattern(f: np.ndarray, p: int) -> Pattern:
     Programming* vol. 2, sec. 4.6.2), is the total degree S(i) of the
     factors whose degree divides i; since S(i) <= n < p, the residue is
     that integer.  Möbius inversion of S(e) = sum over m | e of m c_m gives
-    the number c_e of factors of degree e <= n/2, and the degree left over
-    is one factor of degree > n/2.  The traces for i <= n/2 take about
-    2 sqrt(n/2) matrix products (see :func:`charpoly_mod_p`).  Otherwise the
-    pattern comes from :func:`distinct_degree_split`: for p <= n, where a
-    trace cannot be read as an integer, and above the crossover degree,
-    where splitting's O(n^3) is faster.
+    the number c_e of factors of degree e.  Up to
+    :data:`TRACE_SQUAREFREE_MAX_DEGREE`, :func:`is_squarefree` has just
+    taken the traces for every i <= n and cached the counts c_e, so the
+    pattern reads them and builds nothing.  Above it, the traces for
+    i <= n/2, about 2 sqrt(n/2) matrix products (see
+    :func:`charpoly_mod_p`), give c_e for e <= n/2, and the degree left over
+    is one factor of degree > n/2.  Otherwise the pattern comes from
+    :func:`distinct_degree_split`: for p <= n, where a trace cannot be read
+    as an integer, and above the crossover degree, where splitting's O(n^3)
+    is faster.
     """
     f = np.asarray(f, dtype=np.int64)
     n = len(f) - 1
@@ -537,18 +621,29 @@ def factorization_pattern(f: np.ndarray, p: int) -> Pattern:
     return _pattern_traces(f, p)
 
 
-def _pattern_traces(f: np.ndarray, p: int) -> Pattern:
-    # found[e] starts as S(e) and, once the divisors of e below it are taken
-    # out, is e c_e: a sieve that performs the Möbius inversion
-    _require_monic_squarefree(f, p)
-    n = len(f) - 1
-    assert p > n, "a Frobenius trace S(i) <= n is read as an integer"
-    found = _power_traces(_frobenius(f, p)[1], n // 2, p).tolist()
+def _factor_degrees(f: np.ndarray, m: int, p: int) -> tuple[int, ...]:
+    # for monic f of degree n with 2 <= n < p, and m <= n: entry e of the
+    # result, 1 <= e <= m, is the total degree e c_e of the distinct
+    # irreducible factors of degree e, entry 0 is 0.  found[e] starts as
+    # tr(Q^e), the total degree of the distinct factors whose degree divides
+    # e, and once the divisors of e below it are taken out is e c_e: a sieve
+    # that performs the Möbius inversion
+    assert p > len(f) - 1, "a Frobenius trace up to deg f is read as an integer"
+    found = _power_traces(_frobenius(f, p)[1], m, p).tolist()
     found[0] = 0
     for e in range(1, len(found)):
         assert found[e] % e == 0, "Frobenius traces must count factors"
         for multiple in range(2 * e, len(found), e):
             found[multiple] -= found[e]
+    return tuple(found)
+
+
+def _pattern_traces(f: np.ndarray, p: int) -> Pattern:
+    # the factor degrees to n cached by the squarefree test, or else the
+    # traces to n/2: the degree they leave over is one factor above n/2
+    _require_monic_squarefree(f, p)
+    n = len(f) - 1
+    found = _squarefree(p, f.tobytes())[1] or _factor_degrees(f, n // 2, p)
     rest = n - sum(found)
     assert rest == 0 or rest > n // 2, "at most one factor has degree above n/2"
     pairs = [(e, v // e) for e, v in enumerate(found) if v]

@@ -1,10 +1,11 @@
 """The Miller echelon basis of level-one cusp forms, mod a prime p < 2^20.
 
-A q-expansion sum(a_n q^n, n < prec) mod p is an int64 array of residues.
+A q-expansion sum(a_n q^n, n < prec) mod p is an array of residues: int64
+where it leaves this module, float64 while products are taken.
 :func:`spanning_set` builds the cusp forms g_i = Delta^i E6^b E4^(alpha_i),
 i = 1 .. d, from E4 = 1 + 240 sum sigma_3(n) q^n, E6 = 1 - 504 sum
-sigma_5(n) q^n and Delta = q prod (1 - q^n)^24, each row from the one before
-as g_(i+1) = g_i w with w = Delta / E4^3 (one Newton inverse per prime).
+sigma_5(n) q^n and Delta = q prod (1 - q^n)^24, using g_(i+1) = g_i w with
+w = Delta / E4^3 (one Newton inverse per prime).
 :func:`miller_basis` eliminates them, with unit pivots and no division, to
 the unique echelon basis f_i = q^i + O(q^(d+1)): the exact integer basis of
 :mod:`maeda.oracles`, reduced mod p.
@@ -14,12 +15,15 @@ The precision is fixed by k: 2(d+2)+1 coefficients, one guard term past the
 prod (1 - q^n) do not depend on p and are built once per precision, exactly:
 sigma_5(n) < 1.04 n^5 is below 2^63 only for n < 6168, so they refuse a
 precision above :data:`MAX_TABLE_PREC` = 6000.  That is the one bound
-enforced here, and it implies the exactness bounds of :mod:`maeda.ffpoly`:
-int64 convolutions of fewer than 2^23 terms, and float64 products of fewer
-than 2^13 (:data:`~maeda.ffpoly.MAX_FLOAT_TERMS`).  Each spanning row is the
-one before times the upper-triangular Toeplitz matrix of w, and the
-elimination is one product per row.  The paper's range, k <= 14000, needs
-prec <= 2337.
+enforced here, and it implies the exactness bound of :mod:`maeda.ffpoly`:
+series products, vector-matrix and matrix products all run in float64,
+exact while they sum fewer than 2^13 products of residues
+(:data:`~maeda.ffpoly.MAX_FLOAT_TERMS`).  The spanning rows come by baby
+and giant steps: with s = isqrt(d), rows 2 .. s are each the one before
+times the upper-triangular Toeplitz matrix of w, and each later block of s
+rows is the block before times the Toeplitz matrix of w^s, in one product.
+The elimination is one product per row.  The paper's range, k <= 14000,
+needs prec <= 2337.
 """
 
 from __future__ import annotations
@@ -28,9 +32,8 @@ import functools
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .ffpoly import _inverse, _matmul
+from .ffpoly import _convolve, _inverse, _matmul, _toeplitz
 from .primes import check_modulus
 
 # sigma_5(n) < 1.04 n^5 < 2^63 for n <= 6000 (the first overflow is at 6168);
@@ -93,19 +96,23 @@ def _tables(prec: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # truncated product of two residue series of equal length
-    return np.convolve(a, b)[: len(a)] % p
+    # truncated product of two float64 residue series of equal length
+    return _convolve(a, b, p, 0, len(a))
 
 
 def _pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    result = np.zeros_like(a)
-    result[0] = 1
+    # a^e by right-to-left binary powering; the first factor is taken as it
+    # is, not multiplied by 1
+    result = None
     while e:
         if e & 1:
-            result = _mul(result, a, p)
+            result = a if result is None else _mul(result, a, p)
         e >>= 1
         if e:
             a = _mul(a, a, p)
+    if result is None:
+        result = np.zeros_like(a)
+        result[0] = 1
     return result
 
 
@@ -125,19 +132,27 @@ def spanning_set(k: int, p: int) -> np.ndarray:
     if d == 0:
         return rows.astype(np.int64)
     b, alpha_d = _weight_exponents(k)
-    e4, e6 = 240 * (sigma3 % p) % p, -504 * (sigma5 % p) % p
+    e4 = (240 * (sigma3 % p) % p).astype(np.float64)
+    e6 = (-504 * (sigma5 % p) % p).astype(np.float64)
     e4[0] = e6[0] = 1
-    dl = np.zeros(prec, dtype=np.int64)
-    dl[1:] = _pow(euler % p, 24, p)[:-1]
+    dl = np.zeros(prec)
+    dl[1:] = _pow((euler % p).astype(np.float64), 24, p)[:-1]
     first = _mul(dl, _pow(e4, alpha_d + 3 * (d - 1), p), p)
     rows[0] = _mul(first, e6, p) if b else first
     w = _mul(dl, _inverse(_pow(e4, 3, p), p), p)
-    # x @ toeplitz is the truncated product x w; contiguous, so BLAS takes it
-    toeplitz = np.ascontiguousarray(
-        sliding_window_view(np.concatenate((np.zeros(prec - 1), w)), prec)[::-1])
-    for i in range(1, d):
-        # g_i = q^i + ... and w = q + ..., so only columns > i can be nonzero
+    # g_i = q^i + ... and w = q + ..., so row i-1 is zero left of column i:
+    # each product skips those columns of its rows, and the columns of its
+    # result that are known to be zero
+    s = math.isqrt(d)
+    toeplitz = _toeplitz(w, prec)
+    for i in range(1, s):
         rows[i, i + 1 :] = _matmul(rows[i - 1, i:], toeplitz[i:, i + 1 :], p)
+    if s < d:  # each later block of s rows is the block before times w^s
+        toeplitz = _toeplitz(_pow(w, s, p), prec)
+        for i in range(s, d, s):
+            t = min(s, d - i)
+            rows[i : i + t, i + 1 :] = _matmul(
+                rows[i - s : i - s + t, i - s + 1 :], toeplitz[i - s + 1 :, i + 1 :], p)
     return rows.astype(np.int64)
 
 

@@ -144,3 +144,36 @@ def _zmul(a: list[int], b: list[int]) -> list[int]:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+# ---------------------------------------------------------------------------
+# the reduction rows and Frobenius matrix of a monic f, one row at a time
+
+def reduction_and_frobenius_rows(f: list[int], p: int) -> tuple[list[list[int]], list[list[int]]]:
+    """For monic f of degree n >= 2 over F_p: the rows X^(n+j) mod f for
+    0 <= j <= n-2, and the rows X^(rp) mod f for 0 <= r < n, each padded to
+    n coefficients.  Each reduction row is the one before times X, and each
+    Frobenius row the one before times X^p, by schoolbook products and long
+    division."""
+    n = len(f) - 1
+
+    def mod_f(a: list[int]) -> list[int]:
+        return poly_divmod(a, f, p)[1]
+
+    def pad(a: list[int]) -> list[int]:
+        return a + [0] * (n - len(a))
+
+    reduction = [mod_f([0] * n + [1])]
+    for _ in range(n - 2):
+        reduction.append(mod_f([0] + reduction[-1]))
+    xp, square = [1], [0, 1]  # X^p by right-to-left binary powering
+    e = p
+    while e:
+        if e & 1:
+            xp = mod_f(poly_mul(xp, square, p))
+        square = mod_f(poly_mul(square, square, p))
+        e >>= 1
+    frobenius = [[1]]
+    for _ in range(n - 1):
+        frobenius.append(mod_f(poly_mul(frobenius[-1], xp, p)))
+    return [pad(r) for r in reduction], [pad(r) for r in frobenius]

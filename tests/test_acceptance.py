@@ -3,6 +3,8 @@
 The two heavyweight fixtures (a random-mode run over weights 12..600 with
 seed 1, and a consecutive-mode run over 200..600) are session-scoped; run
 with ``pytest tests/test_acceptance.py -v -s`` to watch the lines appear.
+Every test here is marked ``slow``, so ``pytest -m "not slow"`` leaves the
+suite out.
 """
 
 import csv
@@ -53,6 +55,8 @@ from maeda.oracles import (
 )
 from maeda.patterns import PrimeType
 from maeda.primes import sieve_primes
+
+pytestmark = pytest.mark.slow
 
 T = PrimeType
 

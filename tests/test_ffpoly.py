@@ -11,20 +11,32 @@ from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
-from _oracles import charpoly_det_expansion, poly_divmod, poly_mul, trial_factor_pattern
+from _oracles import (
+    charpoly_det_expansion,
+    poly_divmod,
+    poly_mul,
+    reduction_and_frobenius_rows,
+    trial_factor_pattern,
+)
 from maeda import ffpoly
 from maeda.ffpoly import (
     MAX_FLOAT_TERMS,
     MAX_MODULUS,
     TRACE_PATTERN_MAX_DEGREE,
+    TRACE_SQUAREFREE_MAX_DEGREE,
     _by_traces,
     _charpoly_hessenberg,
     _charpoly_traces,
+    _convolve,
     _divmod,
+    _factor_degrees,
+    _frobenius,
+    _gcd,
     _matmul,
     _matmul_residues,
     _pattern_traces,
     _power_traces,
+    _squarefree,
     charpoly_mod_p,
     distinct_degree_split,
     factorization_pattern,
@@ -483,6 +495,43 @@ def test_float_residue_product_is_exact_at_the_worst_case():
         _matmul_residues(np.ones(MAX_FLOAT_TERMS), np.ones(MAX_FLOAT_TERMS), 5)
 
 
+def test_series_product_is_exact_at_the_worst_case():
+    # every coefficient p - 1 at the largest p and the longest series
+    # (prec = 2337 at k = 14000): coefficient i sums i + 1 products, up to
+    # 2337 (p - 1)^2 < 2^53, against Python ints
+    p, n = 1048573, 2337
+    a = np.full(n, p - 1.0)
+    assert n * (p - 1) ** 2 < 2**53
+    exact = [(i + 1) * (p - 1) ** 2 % p for i in range(n)]
+    product = _convolve(a, a, p, 0, n)
+    assert product.dtype == np.float64 and product.astype(np.int64).tolist() == exact
+    assert _convolve(a, a, p, n - 3, n + 2).astype(np.int64).tolist() == [
+        min(i + 1, 2 * n - 1 - i) * (p - 1) ** 2 % p for i in range(n - 3, n + 2)]
+    # the Newton inverse of that series, checked by the exact product
+    unit = np.concatenate(([1.0], a[1:]))
+    inverse = ffpoly._inverse(unit, p)
+    assert _convolve(unit, inverse, p, 0, n).astype(np.int64).tolist() == [1] + [0] * (n - 1)
+    _convolve(np.ones(MAX_FLOAT_TERMS - 1), np.ones(MAX_FLOAT_TERMS + 5), 5)
+    with pytest.raises(AssertionError):
+        _convolve(np.ones(MAX_FLOAT_TERMS), np.ones(MAX_FLOAT_TERMS), 5)
+
+
+@pytest.mark.parametrize("n", [15, 16, 17, 24, 25, 26, 99, 100, 101])  # s^2 and s^2 +- 1
+def test_frobenius_rows_at_block_boundaries(n):
+    # the baby and giant steps of the Frobenius matrix, and the doubled
+    # reduction rows, against one row at a time in Python ints: a random f,
+    # and the worst case for exactness, every coefficient p - 1, at the
+    # largest p
+    rng = random.Random(n)
+    q = next_prime(n)
+    for p, f in ((1048573, [1048572] * n + [1]), (q, [rng.randrange(q) for _ in range(n)] + [1])):
+        rows, frob = _frobenius(np.array(f, dtype=np.int64), p)
+        expected_rows, expected_frob = reduction_and_frobenius_rows(f, p)
+        assert rows.dtype == frob.dtype == np.float64
+        assert rows.astype(np.int64).tolist() == expected_rows, (n, p)
+        assert frob.astype(np.int64).tolist() == expected_frob, (n, p)
+
+
 # ---------------------------------------------------------------------------
 # the trace path (p > d) against the Hessenberg and distinct-degree code it
 # replaced there: charpoly_mod_p and factorization_pattern take it on nearly
@@ -602,7 +651,7 @@ def paths(monkeypatch) -> list[str]:
     return taken
 
 
-def test_selection_boundary_in_d_and_p(paths):
+def test_selection_boundary_in_d_and_p(paths, monkeypatch):
     assert _by_traces(30, 31) and not _by_traces(31, 31) and not _by_traces(30, 29)
     assert _by_traces(1000, 1009) and not _by_traces(1009, 1009)
     # the charpoly at p = d against the next prime, d = 101 (k = 1212): p = 101
@@ -650,6 +699,30 @@ def test_selection_boundary_in_d_and_p(paths):
     assert paths == ["split"]
     with pytest.raises(AssertionError):
         _pattern_traces(f, 29)
+    # squarefreeness at its crossover degree against one more, p = 1048573:
+    # the traces to n, whose factor degrees the pattern then reads, and then
+    # the gcd with the derivative; a planted product, squarefree and with
+    # one linear factor repeated
+    gcds = []
+    monkeypatch.setattr(ffpoly, "_gcd", lambda *a, _f=_gcd: gcds.append(1) or _f(*a))
+    for n in (TRACE_SQUAREFREE_MAX_DEGREE, TRACE_SQUAREFREE_MAX_DEGREE + 1):
+        shape = (1,) * (n - 13) + (2, 3, 3, 5)
+        product, factors = planted_polynomial(random.Random(n), 1048573, shape)
+        f = np.array(product, dtype=np.int64)
+        repeated = np.array(poly_mul(planted_polynomial(random.Random(n), 1048573, shape[1:])[0],
+                                     factors[0], 1048573), dtype=np.int64)
+        assert len(repeated) == len(f) == n + 1
+        for g, squarefree in ((f, True), (repeated, False)):
+            gcds.clear()
+            assert is_squarefree(g, 1048573) is squarefree
+            traced = _squarefree(1048573, g.tobytes())[1] is not None
+            assert traced == (n == TRACE_SQUAREFREE_MAX_DEGREE) and bool(gcds) != traced
+        # a search's trial: the test, then the pattern, which builds no gcd
+        gcds.clear()
+        paths.clear()
+        assert is_squarefree(f, 1048573)
+        assert factorization_pattern(f, 1048573) == Pattern.from_lengths(shape)
+        assert paths == ["traces"] and len(gcds) == (n > TRACE_SQUAREFREE_MAX_DEGREE)
 
 
 @pytest.mark.parametrize("d, chunks", [(91, 2), (128, 3)])
@@ -746,3 +819,98 @@ def test_trace_pattern_raises_the_ddf_errors(coeffs, p):
     with pytest.raises(ValueError) as pattern:
         factorization_pattern(f, p)
     assert str(traced.value) == str(ddf.value) == str(pattern.value)
+
+
+# ---------------------------------------------------------------------------
+# squarefreeness from the Frobenius traces to n (p > n, n up to
+# TRACE_SQUAREFREE_MAX_DEGREE) against the gcd with the derivative
+
+def gcd_squarefree(f: np.ndarray, p: int) -> bool:
+    """Squarefreeness by a gcd with the derivative alone."""
+    return len(_gcd(f, f[1:] * np.arange(1, len(f)) % p, p)) <= 1
+
+
+def sympy_squarefree(coeffs, p: int) -> bool:
+    poly = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("X"), modulus=p)
+    return all(m == 1 for _, m in poly.sqf_list()[1])
+
+
+def prime_for_degree(m: int, above: int) -> int:
+    """The least prime p > above for which :func:`shifted_binomial` of
+    degree m is irreducible: every prime factor of m divides p - 1, and 4
+    does if 4 divides m."""
+    step = 1
+    for q in sympy.factorint(m):
+        step *= q
+    if m % 4 == 0 and step % 4:
+        step *= 2
+    p = above // step * step + 1
+    while p <= above or not sympy.isprime(p):
+        p += step
+    return p
+
+
+def irreducible(rng: random.Random, p: int, m: int) -> list[int]:
+    return planted_polynomial(rng, p, (m,))[1][0]
+
+
+def half_traces_read_a_pattern(f: np.ndarray, p: int) -> bool:
+    """The traces to n/2 alone give a consistent pattern: what is left over
+    is nothing or one factor above n/2, so they cannot see a repeat."""
+    n = len(f) - 1
+    rest = n - sum(_factor_degrees(f, n // 2, p))
+    return rest == 0 or rest > n // 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 9, 16, 30, 49, 50, 51, 90, 100,
+                               TRACE_SQUAREFREE_MAX_DEGREE - 1, TRACE_SQUAREFREE_MAX_DEGREE])
+def test_trace_squarefree_rule_on_planted_repeated_factors(n):
+    # X^2 h, g^2 h and (X - a)^3 h, h irreducible, with a squarefree (X - b) h
+    # as a control; p > n, so every one takes the trace rule.  The traces to
+    # n/2 alone would read (X - a)^3, and every product whose h has degree
+    # above n/2, as squarefree
+    rng = random.Random(n)
+    cases = []  # (p, factors with repeats, squarefree?, the n/2 traces misread it)
+    p = prime_for_degree(n - 2, n) if n > 2 else next_prime(n)
+    cases.append((p, [[0, 1], [0, 1]] + ([irreducible(rng, p, n - 2)] if n > 2 else []), False,
+                  n - 2 > n // 2))
+    p = prime_for_degree(n - 1, n) if n > 1 else next_prime(n)
+    cases.append((p, planted_polynomial(rng, p, (1, n - 1))[1], True, False))
+    if n >= 4:
+        e = min(3, (n - 2) // 2)
+        p = prime_for_degree(n - 2 * e, 1 << 19)
+        g = irreducible(rng, p, e)
+        h = irreducible(rng, p, n - 2 * e)
+        cases.append((p, [g, g, h], False, n - 2 * e > n // 2))
+    if n >= 3:
+        p = prime_for_degree(n - 3, n) if n > 3 else next_prime(1 << 19)
+        a = rng.randrange(1, p)
+        cases.append((p, [[p - a, 1]] * 3 + ([irreducible(rng, p, n - 3)] if n > 3 else []), False,
+                      n == 3 or n - 3 > n // 2))
+    for p, factors, squarefree, misread in cases:
+        product = [1]
+        for g in factors:
+            product = poly_mul(product, g, p)
+        f = np.array(product, dtype=np.int64)
+        assert len(f) - 1 == n and p > n and f[-1] == 1
+        assert is_squarefree(f, p) is squarefree, (n, p, factors)
+        assert _squarefree(p, f.tobytes())[1] is not None  # the trace rule
+        assert gcd_squarefree(f, p) is squarefree
+        assert sympy_squarefree(product, p) is squarefree
+        if misread:
+            assert half_traces_read_a_pattern(f, p)
+
+
+@pytest.mark.parametrize("k, last", [(200, 223), (400, 433), (596, 773)])  # d = 16, 33, 49
+def test_trace_squarefree_rule_equals_gcd_on_T2_reductions(k, last):
+    # every prime p > d that consecutive mode tries at k (seed 1), up to its
+    # last witness: about a third of the reductions are not squarefree
+    d = hecke.dim_cusp_forms(k)
+    results = []
+    for p in (q for q in sieve_primes(last + 1) if q > d):
+        fp = charpoly_mod_p(hecke.hecke_matrix_T2(k, p), p)
+        squarefree = is_squarefree(fp, p)
+        assert _squarefree(p, fp.tobytes())[1] is not None  # the trace rule
+        assert squarefree is gcd_squarefree(fp, p), (k, p)
+        results.append(squarefree)
+    assert 0.15 < results.count(False) / len(results) < 0.6, results.count(False)

@@ -215,3 +215,15 @@ def test_spanning_set_is_exact_products_reduced(k, p):
     prec = 2 * (dim_cusp_forms(k) + 2) + 1
     exact = [[c % p for c in g.coeffs] for g in spanning_set(k, prec)]
     assert qseries.spanning_set(k, p).tolist() == exact
+
+
+@pytest.mark.parametrize("d", [15, 16, 17, 24, 25, 26, 99, 100, 101])  # s^2 and s^2 +- 1
+def test_spanning_set_baby_and_giant_rows_at_block_boundaries(d):
+    # rows 2 .. s one at a time, then blocks of s = isqrt(d) rows, the last
+    # one full or short: against the exact products, reduced mod p
+    k = 12 * d
+    assert dim_cusp_forms(k) == d
+    exact = spanning_set(k, 2 * (d + 2) + 1)
+    for p in (7, 1048573):
+        reduced = [[c % p for c in g.coeffs] for g in exact]
+        assert qseries.spanning_set(k, p).tolist() == reduced, (d, p)
