@@ -23,7 +23,12 @@ one prime may witness several kinds at once.  The resulting
 polynomials, with no searching.
 
 Search and recheck build T2 the same way, mod each prime they test
-(:func:`~maeda.hecke.hecke_matrix_T2`).  The independent paths are the tests,
+(:func:`~maeda.hecke.hecke_matrix_T2`), a block of primes per call: the
+search draws blocks of 1, 2, 4, .. primes, at most
+:func:`~maeda.qseries.max_block`, and the recheck takes its distinct witness
+primes at once.  The charpoly, squarefree test and pattern then run one
+prime at a time, in order, so blocks change no result and no trial count.
+The independent paths are the tests,
 which hold that builder to :mod:`maeda.oracles` over a sweep of weights and
 primes, and ``perfbench/oracle.py``, which shares no code with this package.
 """
@@ -35,13 +40,16 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .ffpoly import MAX_MODULUS, charpoly_mod_p, factorization_pattern, is_squarefree
 from .ffpoly import reduce_matrix  # noqa: F401  unused; perfbench/trace_child.py wraps it here
 from .hecke import dim_cusp_forms, hecke_matrix_T2
 from .patterns import Pattern, PrimeType
 from .primes import is_prime, sieve_primes
+from .qseries import max_block
 
 __all__ = [
     "PrimeType",
@@ -210,10 +218,22 @@ def sample_prime(rng: random.Random, bound: int) -> int:
     return primes[rng.randrange(len(primes))]
 
 
-def _pattern_at(k: int, p: int) -> Pattern | None:
-    # T2 mod p, its charpoly, the squarefree test, then the pattern (None:
+def _built(k: int, primes: Iterable[int], size: int) -> Iterator[tuple[int, np.ndarray]]:
+    # (p, T2 mod p) for each of the primes in turn, built a block at a time:
+    # the first block holds `size` primes and each later one twice as many,
+    # at most max_block(k).  A block is drawn only when the one before is
+    # used up, so no prime is built past where the caller stops
+    primes = iter(primes)
+    cap = max_block(k)
+    while block := list(itertools.islice(primes, min(size, cap))):
+        yield from zip(block, hecke_matrix_T2(k, block))
+        size *= 2
+
+
+def _pattern_of(matrix: np.ndarray, p: int) -> Pattern | None:
+    # the charpoly of T2 mod p, the squarefree test, then the pattern (None:
     # the reduction is not squarefree, so p classifies nothing)
-    fp = charpoly_mod_p(hecke_matrix_T2(k, p), p)
+    fp = charpoly_mod_p(matrix, p)
     return factorization_pattern(fp, p) if is_squarefree(fp, p) else None
 
 
@@ -236,7 +256,11 @@ def verify_weight(
     Each trial draws a prime (uniformly below ``bound`` in ``random`` mode,
     consecutively from 2 in ``consecutive`` mode), builds T2 mod p, takes its
     characteristic polynomial, skips non-squarefree reductions (they still
-    count as trials), and classifies the pattern.  The search stops once
+    count as trials), and classifies the pattern.  T2 is built mod each
+    prime it tests, a block of primes at a time (1, 2, 4, .. up to
+    :func:`~maeda.qseries.max_block`); no block reaches past ``max_trials``
+    or the primes below ``bound``, and the rest of a trial runs prime by
+    prime in the order drawn.  The search stops once
     every required kind has a witness; ``max_trials`` (default 100 * d) turns
     a stuck search into a loud :class:`SearchExhausted` rather than a hang.
 
@@ -264,8 +288,9 @@ def verify_weight(
 
     witnesses: dict[PrimeType, Witness] = {}
     trials = 0
-    for trials, p in enumerate(itertools.islice(primes, max_trials), start=1):
-        pattern = _pattern_at(k, p)
+    built = _built(k, itertools.islice(primes, max_trials), 1)
+    for trials, (p, matrix) in enumerate(built, start=1):
+        pattern = _pattern_of(matrix, p)
         if pattern is not None:
             for kind in classify(pattern, d):
                 witnesses.setdefault(kind, Witness(p, pattern, trials))
@@ -291,10 +316,11 @@ def verify_weight(
 def check_certificate(cert: Certificate) -> CheckResult:
     """Independently recheck every claim in a certificate.
 
-    At each distinct recorded witness prime only, builds T2 mod p and
-    recomputes the characteristic polynomial, the pattern, and the
-    classification: a handful of modular charpolys instead of a search.  The
-    header is checked against :func:`header_error` (a weight above
+    At each distinct recorded witness prime only, builds T2 mod p (all
+    those primes in one block, unless :func:`~maeda.qseries.max_block` is
+    smaller) and recomputes the characteristic polynomial, the pattern, and
+    the classification: a handful of modular charpolys instead of a search.
+    The header is checked against :func:`header_error` (a weight above
     :data:`MAX_WEIGHT` or a wrong dimension fails at once) and
     :func:`rule_errors`, the seed against the mode, and the
     trial totals against the witnesses.  Every witness's pattern size and
@@ -335,12 +361,12 @@ def check_certificate(cert: Certificate) -> CheckResult:
         else:
             valid.append((where, kind, witness))
 
-    patterns: dict[int, Pattern | None] = {}  # None: reduction not squarefree
+    distinct = list(dict.fromkeys(witness.prime for _, _, witness in valid))
+    patterns = {  # None: reduction not squarefree
+        p: _pattern_of(matrix, p) for p, matrix in _built(cert.weight, distinct, len(distinct))
+    }
     for where, kind, witness in valid:
-        p = witness.prime
-        if p not in patterns:
-            patterns[p] = _pattern_at(cert.weight, p)
-        pattern = patterns[p]
+        pattern = patterns[witness.prime]
         if pattern is None:
             reasons.append(f"{where}: {REASON_NON_SQUAREFREE}")
             continue

@@ -38,8 +38,10 @@ float64 holds every integer below 2^53, so a float64 sum of fewer than
 :data:`MAX_FLOAT_TERMS` = 2^13 such products is exact.  Dense vector-matrix
 and matrix products run in float64 through BLAS (:func:`_matmul`,
 :func:`_matmul_residues`), and series products and Newton inverses through
-``np.convolve`` in float64 (:func:`_convolve`); each of the three helpers
-asserts the bound on its terms per sum before it multiplies.  The baby and
+``np.convolve`` in float64 (:func:`_convolve`), or, for a block of primes
+in :mod:`maeda.qseries`, as batched products with Toeplitz matrices
+(:func:`_toeplitz`); each of the helpers asserts the bound on its terms per
+sum before it multiplies.  The baby and
 giant products sum at most one row length per entry: the size of the
 matrix here, and for the series of :mod:`maeda.qseries` their length, at
 most 6000.  Doubling the reduction rows sums at most d + 1 terms.  The
@@ -68,7 +70,6 @@ import functools
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .patterns import Pattern
 from .primes import MAX_MODULUS, check_modulus
@@ -471,15 +472,17 @@ def _require_monic_squarefree(f: np.ndarray, p: int) -> None:
 
 
 def _toeplitz(w: np.ndarray, cols: int) -> np.ndarray:
-    # contiguous float64 len(w) x cols matrix whose row j is X^j w cut at
-    # X^cols, so x @ _toeplitz(w, len(w)) is the product x w cut at
-    # X^len(w): row j starts j zeros before w in a zero-padded copy, read
-    # with a negative row stride, and every index stays inside the copy
-    n = len(w)
-    padded = np.zeros(n - 1 + max(n, cols))
-    padded[n - 1 : 2 * n - 1] = w
-    step = padded.strides[0]
-    rows = as_strided(padded[n - 1 :], shape=(n, cols), strides=(-step, step))
+    # contiguous float64 n x cols matrix, n = w.shape[-1], whose row j is
+    # X^j w cut at X^cols, so x @ _toeplitz(w, n) is the product x w cut at
+    # X^n; leading axes of w are batch axes, one matrix per series.  Row j
+    # starts j zeros before w in a zero-padded copy, read with a negative
+    # row stride, and every index stays inside the copy (numpy checks it)
+    n = w.shape[-1]
+    padded = np.zeros(w.shape[:-1] + (n - 1 + max(n, cols),))
+    padded[..., n - 1 : 2 * n - 1] = w
+    step = padded.itemsize
+    rows = np.ndarray(w.shape[:-1] + (n, cols), buffer=padded, offset=(n - 1) * step,
+                      strides=padded.strides[:-1] + (-step, step))
     return np.ascontiguousarray(rows)
 
 

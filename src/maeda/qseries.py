@@ -10,6 +10,13 @@ w = Delta / E4^3 (one Newton inverse per prime).
 the unique echelon basis f_i = q^i + O(q^(d+1)): the exact integer basis of
 :mod:`maeda.oracles`, reduced mod p.
 
+Both take one prime or a block of them.  A block of B primes is built in
+one pass: every series, row and elimination step is an array with a leading
+axis of length B, each slice reduced mod its own prime, so each step is one
+batched numpy call for the whole block rather than one call per prime.
+:func:`max_block` bounds B at a weight, by the memory of a Toeplitz matrix
+per prime.
+
 The precision is fixed by k: 2(d+2)+1 coefficients, one guard term past the
 2(d+2) the Hecke action reads.  The tables sigma_3(n), sigma_5(n) and
 prod (1 - q^n) do not depend on p and are built once per precision, exactly:
@@ -23,22 +30,57 @@ and giant steps: with s = isqrt(d), rows 2 .. s are each the one before
 times the upper-triangular Toeplitz matrix of w, and each later block of s
 rows is the block before times the Toeplitz matrix of w^s, in one product.
 The elimination is one product per row.  The paper's range, k <= 14000,
-needs prec <= 2337.
+needs prec <= 2337.  A series product is a batched product with Toeplitz
+matrices for blocks of two or more primes up to
+:data:`SERIES_TOEPLITZ_MAX_LENGTH`, and one ``np.convolve`` per prime
+otherwise.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
-from .ffpoly import _convolve, _inverse, _matmul, _toeplitz
+from .ffpoly import MAX_FLOAT_TERMS, _matmul_residues, _reduce, _toeplitz
 from .primes import check_modulus
 
 # sigma_5(n) < 1.04 n^5 < 2^63 for n <= 6000 (the first overflow is at 6168);
 # below 2^13, it also keeps every int64 and float64 sum of products exact.
 MAX_TABLE_PREC = 6000
+
+# A series product of length n takes, per prime of a block of B, either an
+# n x n Toeplitz matrix (a copy of n^2 floats) and its product, or one
+# np.convolve (n^2 / 2 multiply-adds, one call per prime).  Per product and
+# prime, us, best of 3 runs of 400, Toeplitz / convolve, on a 2-core Xeon
+# with numpy 2.4 (OpenBLAS): n = 37: 20.6/13.1 at B = 1, 10.0/9.7 at B = 2,
+# 6.8/8.3 at B = 4, 3.0/7.3 at B = 16; n = 103: 26.5/20.2, 17.2/16.4,
+# 12.3/13.8, 10.1/12.5; n = 150: 32.4/24.9, 23.6/21.4, 18.4/19.1,
+# 29.2/16.8; n = 205: 42.1/32.7, 33.2/26.9, 36.1/24.6, 61.3/22.4.  So
+# blocks of two or more primes take Toeplitz products up to this length
+# (d <= 61), and convolutions above it
+SERIES_TOEPLITZ_MAX_LENGTH = 127
+
+# The primes of one build: B primes at precision prec hold B prec^2 floats in
+# the Toeplitz matrix of the spanning rows, and each batched step is one
+# numpy call for all B.  Per-prime T2 build, ms, median of 5 passes over 32
+# random primes below 2^20, one prime per call before blocks / blocks of
+# B = 1, 2, 4, 8, 16, range of two runs on a 2-core Xeon, numpy 2.4:
+#   d = 16: 0.62-0.68 / 1.00-1.02, 0.64-0.65, 0.33-0.37, 0.17-0.22, 0.11-0.14
+#   d = 25: 0.58-0.87 / 0.75-1.26, 0.52-0.82, 0.32-0.40, 0.21-0.30, 0.15-0.16
+#   d = 33: 0.71-0.93 / 0.86-1.47, 0.66-0.70, 0.39-0.67, 0.32-0.36, 0.25-0.28
+#   d = 49: 0.99-1.48 / 1.54-1.84, 0.95-1.18, 0.65-0.87, 0.60-0.65, 0.52-0.56
+#   d = 100: 2.72-3.58 / 2.82-3.94, 2.57-2.92, 1.91-2.32, 1.78-2.20, 1.66-2.21
+# A search builds up to one block past its last trial, and the gain past
+# B = 8 is small, so a block holds at most MAX_BLOCK primes, and at most
+# MAX_BLOCK_FLOATS floats (1 MiB) per Toeplitz matrix: 16 primes up to
+# d = 42, 12 at d = 49, 3 at d = 100 and 1 from d = 126.  At those sizes one
+# build's traced peak is 1.7 MB at d = 49 and 1.6 MB at d = 100, against
+# 0.2 and 0.8 MB one prime at a time
+MAX_BLOCK_FLOATS = 1 << 17
+MAX_BLOCK = 16
 
 
 def dim_cusp_forms(k: int) -> int:
@@ -63,6 +105,18 @@ def _weight_exponents(k: int) -> tuple[int, int]:
     alpha_d = num // 4
     assert alpha_d in (0, 1, 2)
     return b, alpha_d
+
+
+def max_block(k: int) -> int:
+    """The most primes that one build at weight k should take at once.
+
+    B primes at precision prec hold B prec^2 floats in each Toeplitz matrix
+    of :func:`spanning_set`: at most :data:`MAX_BLOCK_FLOATS`, and B at most
+    :data:`MAX_BLOCK`, but at least 1.  Raises ValueError where k is not an
+    even weight of at least 12.
+    """
+    prec = _basis_size(k)[1]
+    return max(1, min(MAX_BLOCK, MAX_BLOCK_FLOATS // prec**2))
 
 
 def _basis_size(k: int) -> tuple[int, int]:
@@ -95,12 +149,27 @@ def _tables(prec: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sigma3, sigma5, euler
 
 
-def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # truncated product of two float64 residue series of equal length
-    return _convolve(a, b, p, 0, len(a))
+def _mul(a: np.ndarray, b: np.ndarray, p: np.ndarray, start: int = 0,
+         stop: int | None = None) -> np.ndarray:
+    # coefficients start..stop-1 (stop = n by default) of a_r b_r mod p_r, for
+    # each row r of the float64 residue series a (B x m) and b (B x n), m <= n,
+    # and the column p of their primes, as float64 residues; exact, each
+    # coefficient sums at most m products.  For two or more rows up to
+    # SERIES_TOEPLITZ_MAX_LENGTH, each row of a times the Toeplitz matrix of
+    # that row of b, in one batched product; otherwise one convolution per
+    # row
+    m, n = a.shape[-1], b.shape[-1]
+    stop = n if stop is None else stop
+    if len(a) == 1 or n > SERIES_TOEPLITZ_MAX_LENGTH:
+        assert m < MAX_FLOAT_TERMS, "a float64 convolution could exceed 2^53"
+        out = np.empty((len(a), stop - start))
+        for r in range(len(a)):
+            out[r] = np.convolve(a[r], b[r])[start:stop]
+        return _reduce(out, p)
+    return _matmul_residues(a[:, None], _toeplitz(b, stop)[:, :m, start:], p[:, None])[:, 0]
 
 
-def _pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
+def _pow(a: np.ndarray, e: int, p: np.ndarray) -> np.ndarray:
     # a^e by right-to-left binary powering; the first factor is taken as it
     # is, not multiplied by 1
     result = None
@@ -112,66 +181,113 @@ def _pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
             a = _mul(a, a, p)
     if result is None:
         result = np.zeros_like(a)
-        result[0] = 1
+        result[:, 0] = 1
     return result
 
 
-def spanning_set(k: int, p: int) -> np.ndarray:
+def _inverse(f: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # 1/f mod X^n for float64 residue series f (B x n) with f[:, 0] = 1, by
+    # Newton's iteration: if f g = 1 + X^m e mod X^t, then 1/f = g - X^m g e
+    # mod X^t, t <= 2m
+    g = np.ones((len(f), 1))
+    while g.shape[1] < f.shape[1]:
+        m = g.shape[1]
+        t = min(2 * m, f.shape[1])
+        e = _mul(g, f[:, :t], p, m, t)
+        g = np.concatenate((g, -_mul(g[:, : t - m], e, p) % p), axis=1)
+    return g
+
+
+def _block(p) -> tuple[np.ndarray, bool]:
+    # the moduli of a call as a 1-d int64 array, each checked, and whether p
+    # was one prime rather than a sequence
+    if np.ndim(p) > 1:
+        raise ValueError("moduli must be one prime or a 1-d sequence of primes")
+    single = np.ndim(p) == 0
+    block = [operator.index(q) for q in ([p] if single else p)]
+    for q in block:
+        check_modulus(q)
+    return np.array(block, dtype=np.int64), single
+
+
+def spanning_set(k: int, p) -> np.ndarray:
     """The cusp forms g_i = Delta^i E6^b E4^(alpha_i) mod p, i = 1 .. d.
 
     With b = (k/2) mod 2 and alpha_i = (k - 12i - 6b)/4, g_i is a weight-k
     cusp form q^i + O(q^(i+1)).  Returns a d x prec int64 array whose row
-    i-1 is g_i mod p, prec = 2(d+2)+1.  Raises ValueError unless p is a
-    prime below 2^20, k an even weight of at least 12, and prec at most
-    :data:`MAX_TABLE_PREC`.
+    i-1 is g_i mod p, prec = 2(d+2)+1.  p may also be a 1-d sequence of B
+    primes: then the result is B x d x prec, slice r mod the r-th prime,
+    and each step takes the whole block at once.  Raises
+    ValueError, before any work, unless every p is a prime below 2^20, k an
+    even weight of at least 12, and prec at most :data:`MAX_TABLE_PREC`.
     """
-    check_modulus(p)
+    primes, single = _block(p)
     d, prec = _basis_size(k)
     sigma3, sigma5, euler = _tables(prec)
-    rows = np.zeros((d, prec))  # float64 residues, for the products below
-    if d == 0:
-        return rows.astype(np.int64)
+    rows = np.zeros((len(primes), d, prec))  # float64 residues, for the products below
+    if d:
+        _fill_rows(rows, k, primes, sigma3, sigma5, euler)
+    rows = rows.astype(np.int64)
+    return rows[0] if single else rows
+
+
+def _fill_rows(rows: np.ndarray, k: int, primes: np.ndarray, sigma3: np.ndarray,
+               sigma5: np.ndarray, euler: np.ndarray) -> None:
+    # rows[r, i-1] = g_i mod primes[r], as float64 residues
+    d, prec = rows.shape[1:]
     b, alpha_d = _weight_exponents(k)
-    e4 = (240 * (sigma3 % p) % p).astype(np.float64)
-    e6 = (-504 * (sigma5 % p) % p).astype(np.float64)
-    e4[0] = e6[0] = 1
-    dl = np.zeros(prec)
-    dl[1:] = _pow((euler % p).astype(np.float64), 24, p)[:-1]
+    column = primes[:, None]  # one row per prime, against the series' columns
+    e4 = (240 * (sigma3 % column) % column).astype(np.float64)
+    e6 = (-504 * (sigma5 % column) % column).astype(np.float64)
+    e4[:, 0] = e6[:, 0] = 1
+    p = column.astype(np.float64)
+    dl = np.zeros(e4.shape)
+    dl[:, 1:] = _pow((euler % column).astype(np.float64), 24, p)[:, :-1]
     first = _mul(dl, _pow(e4, alpha_d + 3 * (d - 1), p), p)
-    rows[0] = _mul(first, e6, p) if b else first
+    rows[:, 0] = _mul(first, e6, p) if b else first
     w = _mul(dl, _inverse(_pow(e4, 3, p), p), p)
     # g_i = q^i + ... and w = q + ..., so row i-1 is zero left of column i:
     # each product skips those columns of its rows, and the columns of its
     # result that are known to be zero
     s = math.isqrt(d)
-    toeplitz = _toeplitz(w, prec)
+    w_s = _pow(w, s, p) if s < d else None
+    p = p[:, None]  # one block of rows per prime
+    toeplitz = _toeplitz(w, prec)  # B prec^2 floats: one such matrix at a time
     for i in range(1, s):
-        rows[i, i + 1 :] = _matmul(rows[i - 1, i:], toeplitz[i:, i + 1 :], p)
-    if s < d:  # each later block of s rows is the block before times w^s
-        toeplitz = _toeplitz(_pow(w, s, p), prec)
+        rows[:, i : i + 1, i + 1 :] = _matmul_residues(
+            rows[:, i - 1 : i, i:], toeplitz[:, i:, i + 1 :], p)
+    del toeplitz
+    if w_s is not None:  # each later block of s rows is the block before times w^s
+        toeplitz = _toeplitz(w_s, prec)
         for i in range(s, d, s):
             t = min(s, d - i)
-            rows[i : i + t, i + 1 :] = _matmul(
-                rows[i - s : i - s + t, i - s + 1 :], toeplitz[i - s + 1 :, i + 1 :], p)
-    return rows.astype(np.int64)
+            rows[:, i : i + t, i + 1 :] = _matmul_residues(
+                rows[:, i - s : i - s + t, i - s + 1 :], toeplitz[:, i - s + 1 :, i + 1 :], p)
 
 
-def miller_basis(k: int, p: int) -> np.ndarray:
+def miller_basis(k: int, p) -> np.ndarray:
     """Echelon basis f_1 .. f_d of the weight-k cusp space, mod p < 2^20.
 
     Returns a d x (2(d+2)+1) int64 array of residues whose row i-1 is f_i
-    mod p, with coefficient 1 at q^i and 0 at every other q^j, 1 <= j <= d.
-    The elimination runs up from f_d = g_d: f_i is g_i minus its
-    coefficients at q^(i+1) .. q^d times the finished rows below, one
-    vector-matrix product per row.
+    mod p, with coefficient 1 at q^i and 0 at every other q^j, 1 <= j <= d;
+    for a 1-d sequence of B primes, B such arrays stacked, as in
+    :func:`spanning_set`.  The elimination runs up from f_d = g_d: f_i is
+    g_i minus its coefficients at q^(i+1) .. q^d times the finished rows
+    below, one batched vector-matrix product per row for the whole block.
     """
-    rows = spanning_set(k, p)
-    d = rows.shape[0]
-    done = rows.astype(np.float64)  # rows i+1.. are finished when row i starts
+    single = np.ndim(p) == 0
+    done = spanning_set(k, [p] if single else p).astype(np.float64)
+    primes = np.array([p] if single else p, dtype=np.float64)[:, None, None]
+    d = done.shape[1]  # rows i+1.. are finished when row i starts
     for i in range(d - 2, -1, -1):
-        rows[i] = (rows[i] - _matmul(done[i, i + 2 : d + 1], done[i + 1 :], p)) % p
-        done[i] = rows[i]
-    assert np.array_equal(rows[:, 1 : d + 1], np.eye(d, dtype=np.int64)), (
+        # row i, 0-based, is f = g - c_(i+2) f_(i+2) - .. - c_d f_d, c_j the
+        # coefficient of g = g_(i+1) at q^j: one product of (1, p - c_(i+2),
+        # .., p - c_d) with g and the finished rows
+        coeffs = primes - done[:, i : i + 1, i + 1 : d + 1]
+        coeffs[:, :, 0] = 1
+        done[:, i : i + 1] = _matmul_residues(coeffs, done[:, i:], primes)
+    rows = done.astype(np.int64)
+    assert (rows[:, :, 1 : d + 1] == np.eye(d, dtype=np.int64)).all(), (
         f"echelon property failed at k={k} mod {p}"
     )
-    return rows
+    return rows[0] if single else rows

@@ -24,6 +24,7 @@ from maeda.hecke import dim_cusp_forms
 from maeda.oracles import hecke_matrix_T2
 from maeda.patterns import Pattern, PrimeType
 from maeda.primes import is_prime, sieve_primes
+from maeda.qseries import max_block
 
 
 def pat(d: dict[int, int]) -> Pattern:
@@ -277,12 +278,71 @@ def cert48() -> dict[int, Certificate]:
 
 @pytest.fixture
 def built_primes(monkeypatch) -> list[int]:
-    """The primes at which T2 mod p is built while the test runs, in call order."""
+    """The primes at which T2 mod p is built while the test runs, in call
+    order: every prime of each block that certify builds in one call."""
     built: list[int] = []
     real_build = certify.hecke_matrix_T2
     monkeypatch.setattr(certify, "hecke_matrix_T2",
-                        lambda k, p: built.append(p) or real_build(k, p))
+                        lambda k, block: built.extend(block) or real_build(k, block))
     return built
+
+
+@pytest.fixture
+def built_blocks(monkeypatch) -> list[list[int]]:
+    """Each block of primes that certify builds T2 at in one call, in order."""
+    blocks: list[list[int]] = []
+    real_build = certify.hecke_matrix_T2
+    monkeypatch.setattr(certify, "hecke_matrix_T2",
+                        lambda k, block: blocks.append(list(block)) or real_build(k, block))
+    return blocks
+
+
+@pytest.mark.parametrize("kwargs, trials, sizes, message", [
+    ({"bound": 60}, 17, [1, 2, 4, 8, 2], "no witness of kind I, II, III within 17 trials"),
+    ({"max_trials": 20}, 20, [1, 2, 4, 8, 5], "no witness of kind I, II, III within 20 trials"),
+    ({"max_trials": 30}, 30, [1, 2, 4, 8, 15], "no witness of kind I, III within 30 trials"),
+])
+def test_search_builds_no_prime_past_the_trial_cap_or_the_stream(
+    built_blocks, kwargs, trials, sizes, message
+):
+    # the last block is cut at the end of the primes below the bound, or
+    # at max_trials; the message is the one the search gave before blocks
+    with pytest.raises(SearchExhausted, match=f"^weight 200: {message}$"):
+        verify_weight(200, "consecutive", **kwargs)
+    assert [len(block) for block in built_blocks] == sizes
+    assert [p for block in built_blocks for p in block] == list(sieve_primes(1 << 20)[:trials])
+
+
+@pytest.mark.parametrize("k, mode", [(12, "random"), (48, "random"), (300, "random"),
+                                     (200, "consecutive")])
+def test_search_builds_each_drawn_prime_once_in_doubling_blocks(built_blocks, k, mode):
+    # blocks of 1, 2, 4, .. primes up to max_block(k), in the order they are
+    # drawn; the last block is the first that reaches the trial that ends
+    # the search, so fewer than one block is built past it
+    cert = verify_weight(k, mode=mode, seed=1)
+    trials = max(cert.trials_total.values())
+    sizes = [len(block) for block in built_blocks]
+    assert sizes == [min(2**i, max_block(k)) for i in range(len(sizes))]
+    built = [p for block in built_blocks for p in block]
+    if mode == "consecutive":
+        drawn = list(sieve_primes(1 << 20)[: len(built)])
+    else:
+        rng = random.Random(certify._weight_seed(1, k))
+        drawn = [sample_prime(rng, 1 << 20) for _ in built]
+    assert built == drawn and len(set(built)) == len(built)
+    assert trials <= len(built) < trials + sizes[-1]
+
+
+def test_check_certificate_builds_the_distinct_valid_primes_in_one_block(built_blocks, cert48):
+    cert = cert48[1]  # kinds III and IV share prime 298201
+    witnesses = dict(cert.witnesses)
+    witnesses[T.II] = dataclasses.replace(witnesses[T.II], prime=15)
+    result = check_certificate(dataclasses.replace(cert, witnesses=witnesses))
+    assert "kind II witness 15: composite" in result.reasons
+    ordered = sorted(witnesses.items(), key=lambda kv: kv[0].value)
+    valid = list(dict.fromkeys(w.prime for _, w in ordered if w.prime != 15))
+    assert len(valid) < len(witnesses) - 1
+    assert built_blocks == [valid]
 
 
 def test_check_certificate_rejects_prime_bound_above_2_20(built_primes, cert48):
@@ -428,3 +488,15 @@ def test_covered_index_finds_uncovered_prime():
 def test_covered_index_rejects_tiny():
     with pytest.raises(ValueError):
         covered_index(1)
+
+
+def test_is_prime_with_two_bases_below_their_bound():
+    # below 1373653 Miller-Rabin takes bases 2 and 3 only; that bound is
+    # itself a strong pseudoprime to both, so the full base set must refuse it
+    from maeda.primes import _MR_TWO_BASES_BOUND
+    assert _MR_TWO_BASES_BOUND == 829 * 1657
+    assert not is_prime(_MR_TWO_BASES_BOUND)
+    primes = set(sieve_primes(_MR_TWO_BASES_BOUND + 1000))
+    window = range(_MR_TWO_BASES_BOUND - 20_000, _MR_TWO_BASES_BOUND + 1000)
+    sample = random.Random(5).sample(range(1 << 20), 20_000)
+    assert all(is_prime(n) == (n in primes) for n in [*range(2000), *sample, *window])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from _oracles import charpoly_det_expansion
-from maeda import hecke
+from maeda import hecke, qseries
 from maeda.ffpoly import charpoly_mod_p, reduce_matrix
 from maeda.hecke import dim_cusp_forms
 from maeda.oracles import (
@@ -24,6 +24,7 @@ from maeda.oracles import (
     series_pow,
 )
 from maeda.primes import sieve_primes
+from maeda.qseries import max_block
 
 
 @pytest.mark.parametrize(
@@ -180,3 +181,42 @@ def test_t2_mod_p_rejects_bad_weights():
     for k in (13, 10, 0):
         with pytest.raises(ValueError):
             hecke.hecke_matrix_T2(k, 5)
+
+
+def _mixed_primes(d: int, length: int) -> list[int]:
+    # a block of `length` primes: 2, 3, the largest prime <= d, the least
+    # prime past the precision, the two largest primes below 2^20, then
+    # random primes
+    prec = 2 * (d + 2) + 1
+    small = [p for p in sieve_primes(d + 1)[-1:] if p > 3]
+    above = next(p for p in sieve_primes(2 * prec + 2) if p > prec)
+    special = [2, 3, *small, above, 1048571, 1048573]
+    rest = random.Random(d).sample(sieve_primes(1 << 20), max(0, length - len(special)))
+    return (special + rest)[:length]
+
+
+@pytest.mark.parametrize("d", [1, 2, 16, 49, 100])
+def test_t2_block_slices_equal_per_prime_builds_and_exact_matrix(d):
+    # block lengths 1, 2, cap - 1, cap and cap + 1; blocks shorter than
+    # the special primes are cut from them in turn, so each length meets all
+    k = 12 * d
+    exact = hecke_matrix_T2(k)
+    cap = max_block(k)
+    for length in sorted({1, 2, cap - 1, cap, cap + 1} - {0}):
+        primes = _mixed_primes(d, max(length, 6))
+        for start in range(0, len(primes), length):
+            block = (primes + primes)[start : start + length]
+            matrices = hecke.hecke_matrix_T2(k, block)
+            assert matrices.dtype == np.int64 and matrices.shape == (length, d, d)
+            for p, matrix in zip(block, matrices):
+                assert np.array_equal(matrix, hecke.hecke_matrix_T2(k, p)), (d, length, p)
+                assert np.array_equal(matrix, reduce_matrix(exact, p)), (d, length, p)
+
+
+@pytest.mark.parametrize("bad", [9, 1 << 20, 1048583, 4194319])
+def test_t2_block_with_one_bad_modulus_is_refused_before_any_work(monkeypatch, bad):
+    built: list = []
+    monkeypatch.setattr(qseries, "_fill_rows", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match="modulus must"):
+        hecke.hecke_matrix_T2(48, [1048573, 5, bad])
+    assert built == []

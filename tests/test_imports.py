@@ -51,12 +51,39 @@ def test_verify_and_check_load_neither_density_nor_statistics(tmp_path):
     assert not {"maeda.density", "statistics", "fractions"} & set(modules)
 
 
-def test_every_traced_name_resolves():
-    # perfbench/trace_child.py wraps these by name; each must stay callable
+def _traced_names() -> list[tuple[str, str]]:
+    # the (module, attribute) pairs that perfbench/trace_child.py wraps
     spec = importlib.util.spec_from_file_location(
         "trace_child", ROOT / "perfbench" / "trace_child.py")
     trace_child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(trace_child)
     assert trace_child.WRAPPED
-    for module_name, attr, _ in trace_child.WRAPPED:
+    return [(module_name, attr) for module_name, attr, _ in trace_child.WRAPPED]
+
+
+def test_every_traced_name_resolves():
+    # perfbench/trace_child.py wraps these by name; each must stay callable
+    for module_name, attr in _traced_names():
         assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
+
+
+def test_verify_and_check_reach_every_traced_name(tmp_path, monkeypatch, capsys):
+    # each traced function must be called through the attribute that
+    # trace_child.py wraps, or its time would land in no traced span.
+    # certify.reduce_matrix is wrapped there but unused by design
+    from maeda.cli import main
+
+    reached: set[tuple[str, str]] = set()
+
+    def noting(name, fn):
+        return lambda *args, **kwargs: reached.add(name) or fn(*args, **kwargs)
+
+    for name in _traced_names():
+        module = importlib.import_module(name[0])
+        monkeypatch.setattr(module, name[1], noting(name, getattr(module, name[1])))
+    out = str(tmp_path)
+    assert main(["verify", "--from", "48", "--to", "50", "--mode", "consecutive",
+                 "--jobs", "1", "--out", out]) == 0
+    assert main(["check", out]) == 0
+    capsys.readouterr()
+    assert set(_traced_names()) - reached == {("maeda.certify", "reduce_matrix")}

@@ -18,6 +18,7 @@ from maeda.oracles import (
     series_pow,
     spanning_set,
 )
+from maeda.primes import sieve_primes
 from maeda.qseries import dim_cusp_forms
 
 
@@ -227,3 +228,80 @@ def test_spanning_set_baby_and_giant_rows_at_block_boundaries(d):
     for p in (7, 1048573):
         reduced = [[c % p for c in g.coeffs] for g in exact]
         assert qseries.spanning_set(k, p).tolist() == reduced, (d, p)
+
+
+def _block_primes(d: int) -> list[int]:
+    # 2, 3, the largest prime <= d, the least prime past the precision, and
+    # the two largest primes below 2^20
+    prec = 2 * (d + 2) + 1
+    small = [p for p in sieve_primes(d + 1)[-1:] if p > 3]
+    above = next(p for p in sieve_primes(2 * prec + 2) if p > prec)
+    return [2, 3, *small, above, 1048571, 1048573]
+
+
+@pytest.mark.parametrize("d", [1, 2, 16, 49])
+def test_block_of_primes_slices_are_the_exact_basis_reduced(d):
+    # each slice of a block equals the one-prime build and the exact basis
+    # mod its prime; the block mixes primes dividing the series' constants,
+    # primes up to d and past the precision, and the largest ones
+    k = 12 * d
+    block = _block_primes(d)
+    exact_g = spanning_set(k, 2 * (d + 2) + 1)
+    exact_f = miller_basis(k)
+    spanning = qseries.spanning_set(k, block)
+    basis = qseries.miller_basis(k, block)
+    assert spanning.shape == basis.shape == (len(block), d, 2 * (d + 2) + 1)
+    assert basis.dtype == np.int64
+    for r, p in enumerate(block):
+        assert spanning[r].tolist() == [[c % p for c in g.coeffs] for g in exact_g], (d, p)
+        assert basis[r].tolist() == [[c % p for c in f.coeffs] for f in exact_f], (d, p)
+        assert np.array_equal(basis[r], qseries.miller_basis(k, p)), (d, p)
+
+
+def test_one_prime_and_a_block_of_one_differ_only_by_the_batch_axis():
+    one_prime = qseries.miller_basis(48, 7)
+    assert one_prime.shape == (4, 13)
+    assert np.array_equal(qseries.miller_basis(48, [7]), one_prime[None])
+    assert np.array_equal(qseries.miller_basis(48, np.array([7])), one_prime[None])
+    assert qseries.miller_basis(14, [5, 7]).shape == (2, 0, 5)
+
+
+@pytest.mark.parametrize("n, block", [
+    (qseries.SERIES_TOEPLITZ_MAX_LENGTH, [1048573, 1048571, 2, 3]),  # Toeplitz products
+    (qseries.SERIES_TOEPLITZ_MAX_LENGTH + 1, [1048573, 3]),  # one convolution per row
+    (qseries.MAX_TABLE_PREC, [1048573, 1048571]),  # the longest series: most terms per sum
+])
+def test_batched_series_product_is_exact_at_the_largest_residues(n, block):
+    # every residue p - 1: each coefficient sums the most and the largest
+    # products a float64 sum meets here, checked against Python ints
+    p = np.array(block, dtype=np.float64)[:, None]
+    top = np.ones((len(block), n)) * (p - 1)
+    product = qseries._mul(top, top, p)
+    assert product.tolist() == [[(j + 1) * (q - 1) ** 2 % q for j in range(n)] for q in block]
+    # coefficients n/2 .. n-1 of the product of a shorter and a longer series
+    half = n // 2
+    tail = qseries._mul(top[:, :half], top, p, half, n)
+    assert tail.tolist() == [[half * (q - 1) ** 2 % q for _ in range(half, n)] for q in block]
+
+
+@pytest.mark.parametrize("bad", [15, 1, 1 << 20, 1048583, 10**4200 + 7])
+def test_block_with_one_bad_modulus_is_refused_before_any_work(monkeypatch, bad):
+    tables: list[int] = []
+    monkeypatch.setattr(qseries, "_tables", lambda prec: tables.append(prec))
+    for build in (qseries.spanning_set, qseries.miller_basis):
+        with pytest.raises(ValueError, match="modulus must"):
+            build(48, [5, 1048573, bad, 7])
+    assert tables == []
+
+
+def test_block_must_be_one_dimensional():
+    with pytest.raises(ValueError, match="1-d sequence"):
+        qseries.spanning_set(48, [[5, 7]])
+
+
+@pytest.mark.parametrize("k, cap", [(12, 16), (192, 16), (396, 16), (588, 12), (1200, 3),
+                                    (2400, 1), (14000, 1)])
+def test_max_block_bounds_the_floats_of_a_toeplitz_matrix(k, cap):
+    prec = 2 * (dim_cusp_forms(k) + 2) + 1
+    assert qseries.max_block(k) == cap
+    assert cap == 1 or cap * prec**2 <= qseries.MAX_BLOCK_FLOATS
