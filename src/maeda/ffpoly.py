@@ -15,33 +15,31 @@ a d x d matrix and the pattern of a degree-d polynomial, and for nearly all
 of them p > d.  There, :func:`charpoly_mod_p` reads the characteristic
 polynomial off traces of matrix powers, about 2 sqrt(d) BLAS products: the
 power sums tr(A^k) give it by Newton's identities.  Up to degree
-:data:`TRACE_PATTERN_MAX_DEGREE`, :func:`factorization_pattern` does the
-same with the Frobenius matrix Q: the traces of its powers count the
-factors of each degree.  Up to :data:`TRACE_SQUAREFREE_MAX_DEGREE`,
-:func:`is_squarefree` takes those traces to the full degree, which count
-the distinct factors of each degree, and the pattern reuses them.  Q itself
-is built by baby and giant steps: about sqrt(d) rows one at a time, then
-each block of sqrt(d) rows in one product.  Otherwise the characteristic
-polynomial comes from a Hessenberg reduction, squarefreeness from a gcd
-with the derivative, and the pattern from distinct-degree splitting with
-the Frobenius matrix and blocked gcds (von zur Gathen & Shoup, 1992;
-Kaltofen & Shoup, 1998), which take about d numpy steps one after another.
-The traces need p > d (:func:`_by_traces`): Newton's identities divide by
-every k <= d, and a Frobenius trace is an integer up to d read from its
-residue.  The Hessenberg charpoly therefore runs only for p <= d, and the
-gcd and splitting also above their measured crossover degrees, where their
-O(d^2) and O(d^3) beat the O(d^3.5) of the traces.  Both regimes give the
-same results; the tests compare them.
+:data:`TRACE_FACTOR_MAX_DEGREE`, :func:`is_squarefree` does the same with
+the Frobenius matrix Q: the traces of its powers to the full degree count
+the distinct factors of each degree, and :func:`factorization_pattern`
+reads those counts.  Q itself is built by baby and giant steps: about
+sqrt(d) rows one at a time, then each block of sqrt(d) rows in one
+product.  Otherwise the characteristic polynomial comes from a Hessenberg
+reduction, squarefreeness from a gcd with the derivative, and the pattern
+from distinct-degree splitting with the Frobenius matrix and blocked gcds
+(von zur Gathen & Shoup, 1992; Kaltofen & Shoup, 1998), which take about d
+numpy steps one after another.  The traces need p > d (:func:`_by_traces`):
+Newton's identities divide by every k <= d, and a Frobenius trace is an
+integer up to d read from its residue.  The Hessenberg charpoly therefore
+runs only for p <= d, and the gcd and splitting also above the measured
+crossover degree, where their O(d^2) and O(d^3) beat the O(d^3.5) of the
+traces.  Both regimes give the same results; the tests compare them.
 
 Exactness.  With p < 2^20 a product of two residues is below 2^40, and
 float64 holds every integer below 2^53, so a float64 sum of fewer than
 :data:`MAX_FLOAT_TERMS` = 2^13 such products is exact.  Dense vector-matrix
 and matrix products run in float64 through BLAS (:func:`_matmul`,
-:func:`_matmul_residues`), and series products and Newton inverses through
-``np.convolve`` in float64 (:func:`_convolve`), or, for a block of primes
-in :mod:`maeda.qseries`, as batched products with Toeplitz matrices
-(:func:`_toeplitz`); each of the helpers asserts the bound on its terms per
-sum before it multiplies.  The baby and
+:func:`_matmul_residues`), and series products and Newton inverses, for
+the divisions here and for a block of primes in :mod:`maeda.qseries`,
+through :func:`_mul`: ``np.convolve`` in float64, or batched products with
+Toeplitz matrices (:func:`_toeplitz`); each of the helpers asserts the
+bound on its terms per sum before it multiplies.  The baby and
 giant products sum at most one row length per entry: the size of the
 matrix here, and for the series of :mod:`maeda.qseries` their length, at
 most 6000.  Doubling the reduction rows sums at most d + 1 terms.  The
@@ -117,15 +115,6 @@ def _matmul_residues(a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray | Non
     return _reduce(np.matmul(a, b, out=out), p)
 
 
-def _convolve(a: np.ndarray, b: np.ndarray, p: int, start: int = 0, stop: int | None = None
-              ) -> np.ndarray:
-    # coefficients start..stop-1 of a b mod p, for residue arrays of which
-    # one at least is float64, as float64 residues; exact: each sums at most
-    # min(len a, len b) products
-    assert min(len(a), len(b)) < MAX_FLOAT_TERMS, "a float64 convolution could exceed 2^53"
-    return np.convolve(a, b)[start:stop] % p
-
-
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     # x mod p in place, for float64 integers 0 <= x < 2^53 - 2^40, such as
     # sums of fewer than 2^13 products of residues.  For x = qp + r, x / p is
@@ -140,21 +129,72 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
+def _toeplitz(w: np.ndarray, cols: int) -> np.ndarray:
+    # contiguous float64 n x cols matrix, n = w.shape[-1], whose row j is
+    # X^j w cut at X^cols, so x @ _toeplitz(w, n) is the product x w cut at
+    # X^n; leading axes of w are batch axes, one matrix per series.  Row j
+    # starts j zeros before w in a zero-padded copy, read with a negative
+    # row stride, and every index stays inside the copy (numpy checks it)
+    n = w.shape[-1]
+    padded = np.zeros(w.shape[:-1] + (n - 1 + max(n, cols),))
+    padded[..., n - 1 : 2 * n - 1] = w
+    step = padded.itemsize
+    rows = np.ndarray(w.shape[:-1] + (n, cols), buffer=padded, offset=(n - 1) * step,
+                      strides=padded.strides[:-1] + (-step, step))
+    return np.ascontiguousarray(rows)
+
+
+# A series product of length n takes, per prime of a block of B, either an
+# n x n Toeplitz matrix (a copy of n^2 floats) and its product, or one
+# np.convolve (n^2 / 2 multiply-adds, one call per prime).  Per product and
+# prime, us, best of 3 runs of 400, Toeplitz / convolve, on a 2-core Xeon
+# with numpy 2.4 (OpenBLAS): n = 37: 20.6/13.1 at B = 1, 10.0/9.7 at B = 2,
+# 6.8/8.3 at B = 4, 3.0/7.3 at B = 16; n = 103: 26.5/20.2, 17.2/16.4,
+# 12.3/13.8, 10.1/12.5; n = 150: 32.4/24.9, 23.6/21.4, 18.4/19.1,
+# 29.2/16.8; n = 205: 42.1/32.7, 33.2/26.9, 36.1/24.6, 61.3/22.4.  So
+# blocks of two or more primes take Toeplitz products up to this length
+# (d <= 61), and convolutions above it
+SERIES_TOEPLITZ_MAX_LENGTH = 127
+
+
+def _mul(a: np.ndarray, b: np.ndarray, p: np.ndarray | int, start: int = 0,
+         stop: int | None = None) -> np.ndarray:
+    # coefficients start..stop-1 (stop = n by default) of a_r b_r mod p_r, for
+    # each row r of the float64 residue series a (B x m) and b (B x n), m <= n,
+    # and the column p of their primes (or one prime, for B = 1), as float64
+    # residues; exact, each coefficient sums at most m products.  For two or
+    # more rows up to SERIES_TOEPLITZ_MAX_LENGTH, each row of a times the
+    # Toeplitz matrix of that row of b, in one batched product; otherwise one
+    # convolution per row
+    m, n = a.shape[-1], b.shape[-1]
+    stop = n if stop is None else stop
+    if len(a) == 1 or n > SERIES_TOEPLITZ_MAX_LENGTH:
+        assert m < MAX_FLOAT_TERMS, "a float64 convolution could exceed 2^53"
+        out = np.empty((len(a), stop - start))
+        for r in range(len(a)):
+            out[r] = np.convolve(a[r], b[r])[start:stop]
+        return _reduce(out, p)
+    return _matmul_residues(a[:, None], _toeplitz(b, stop)[:, :m, start:], p[:, None])[:, 0]
+
+
+def _inverse(f: np.ndarray, p: np.ndarray | int) -> np.ndarray:
+    # 1/f mod X^n for float64 residue series f (B x n) with f[:, 0] = 1, p as
+    # in _mul, by Newton's iteration: if f g = 1 + X^m e mod X^t, then
+    # 1/f = g - X^m g e mod X^t, t <= 2m
+    g = np.ones((len(f), 1))
+    while g.shape[1] < f.shape[1]:
+        m = g.shape[1]
+        t = min(2 * m, f.shape[1])
+        e = _mul(g, f[:, :t], p, m, t)
+        g = np.concatenate((g, -_mul(g[:, : t - m], e, p) % p), axis=1)
+    return g
+
+
 def _by_traces(d: int, p: int) -> bool:
     # power traces of a d x d matrix or a degree-d polynomial need p > d:
     # Newton's identities divide by every k <= d, and a Frobenius trace is
     # an integer up to d read from its residue
     return p > d
-
-
-# The pattern of a degree-n polynomial comes from traces up to this degree,
-# and from distinct-degree splitting above it.  Per trial on T2 reductions at
-# 15 random primes in (2^19, 2^20), median ms, traces against splitting, on a
-# 2-core Xeon with numpy 2.4 (OpenBLAS): 19.7 / 36.7 at n = 200, 53-55 /
-# 62-63 at n = 300, 89 / 105 at n = 350, and 125-131 / 117-128 at n = 400
-# (two runs each at 300 and 400).  The traces grow as n^3.5 and splitting
-# as n^3, so the last n measured where the traces won is the limit
-TRACE_PATTERN_MAX_DEGREE = 350
 
 
 def _power_traces(M: np.ndarray, m: int, p: int) -> np.ndarray:
@@ -293,29 +333,18 @@ def _degree_scan(buf: np.ndarray, start: int) -> int:
     return d
 
 
-def _inverse(f: np.ndarray, p: int) -> np.ndarray:
-    # 1/f mod X^len(f) for residues f with f[0] = 1, as float64 residues, by
-    # Newton's iteration: if f g = 1 + X^m e mod X^n, then 1/f = g - X^m g e
-    # mod X^n, n <= 2m
-    g = np.ones(1)
-    while len(g) < len(f):
-        m, n = len(g), min(2 * len(g), len(f))
-        e = _convolve(f[:n], g, p, m, n)
-        g = np.concatenate((g, -_convolve(g, e, p, 0, n - m) % p))
-    return g
-
-
 def _divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     # quotient and remainder of trimmed a by trimmed b != 0.  The quotient's
     # reversal is rev(a) / rev(b) mod X^(deg a - deg b + 1), one Newton
-    # inverse (von zur Gathen & Gerhard, Modern Computer Algebra, sec. 9.1)
+    # inverse (von zur Gathen & Gerhard, Modern Computer Algebra, sec. 9.1),
+    # taken as a block of one series
     db, n = len(b) - 1, len(a) - len(b) + 1  # n: length of the quotient
     if n <= 0:
         return a[:0].copy(), a.copy()
     lead_inv = pow(int(b[-1]), p - 2, p)
-    rev_b = np.zeros(n, dtype=np.int64)
-    rev_b[: min(n, db + 1)] = b[::-1][:n] * lead_inv % p
-    q = _convolve(a[::-1][:n], _inverse(rev_b, p), p, 0, n) * lead_inv % p
+    rev_b = np.zeros((1, n))
+    rev_b[0, : min(n, db + 1)] = b[::-1][:n] * lead_inv % p
+    q = _mul(a[None, ::-1][:, :n].astype(np.float64), _inverse(rev_b, p), p)[0] * lead_inv % p
     q = q[::-1].astype(np.int64)
     if not db:
         return q, a[:0].copy()
@@ -412,25 +441,25 @@ def _x_power(e: int, rows: np.ndarray, p: int) -> np.ndarray:
     return h
 
 
-# On the trace path, squarefreeness comes from the traces of the Frobenius
-# matrix up to this degree, and from a gcd with the derivative above it.
-# Squarefree test plus pattern per trial on T2 reductions at 10-15 random
-# primes in (2^19, 2^20), median ms, traces to n against the gcd plus traces
-# to n/2, on a 2-core Xeon with numpy 2.4 (OpenBLAS): 3.3 / 4.4 at n = 90,
-# 6.5 / 7.2 at n = 120, 7.8 / 8.4 at n = 130, 10.5-10.7 / 10.6-10.7 at
-# n = 150 (two runs), 11.0 / 10.5 at n = 160, 15.6 / 14.3 at n = 175 and
-# 21.7 / 18.8 at n = 200.  The traces to n cost about twice the products of
-# the traces to n/2, and the gcd grows only as n^2, so the last n measured
-# where the traces did not lose is the limit
-TRACE_SQUAREFREE_MAX_DEGREE = 150
+# For p > n, squarefreeness and the pattern of a degree-n polynomial come
+# from the Frobenius traces to n up to this degree, and from a gcd with the
+# derivative and distinct-degree splitting above it.  Squarefree test plus
+# pattern per trial on T2 reductions at 8 random primes in (2^19, 2^20),
+# median ms, traces against gcd and splitting, medians of 3 runs at n = 250
+# and 300 and of 6 at 275 and 290, on a shared 2-core Xeon with numpy 2.4
+# (OpenBLAS): 42.4 / 57.6 at n = 250, 56.0 / 65.1 at n = 275, 66.2 / 73.4
+# at n = 290 and 69.7 / 53.4 at n = 300.  The traces grow as n^3.5 and
+# splitting as n^3, so the last n measured where the traces did not lose is
+# the limit
+TRACE_FACTOR_MAX_DEGREE = 290
 
 
 def is_squarefree(f: np.ndarray, p: int) -> bool:
     """True iff f has no repeated irreducible factor over F_p.
 
     When f is monic, p > n = deg f and 2 <= n <=
-    :data:`TRACE_SQUAREFREE_MAX_DEGREE`, the answer comes from the traces
-    of the Frobenius matrix Q to n.  On
+    :data:`TRACE_FACTOR_MAX_DEGREE`, the answer comes from the traces of
+    the Frobenius matrix Q to n.  On
     F_p[X]/(g^m), g irreducible of degree e, Frobenius maps the ideal
     (g)^j into (g)^(pj), inside (g)^(j+1), so on every graded piece of the
     (g)-adic filtration but the residue field F_(p^e) it is nilpotent.  So
@@ -442,8 +471,8 @@ def is_squarefree(f: np.ndarray, p: int) -> bool:
 
     The last answer is cached, keyed on p and the coefficients, and on the
     trace path with it the factor degrees: a search tests f and then
-    factors it, and the factoring entry points test it again and read the
-    degrees instead of building Q again.
+    factors it, and :func:`factorization_pattern` tests it again and reads
+    the degrees instead of building Q again.
     """
     f = np.asarray(f, dtype=np.int64)
     if not f.any():
@@ -457,8 +486,8 @@ def _squarefree(p: int, coeffs: bytes) -> tuple[bool, tuple[int, ...] | None]:
     # the trace path)
     f = np.frombuffer(coeffs, dtype=np.int64)
     n = len(f) - 1
-    if 2 <= n <= TRACE_SQUAREFREE_MAX_DEGREE and _by_traces(n, p) and f[-1] == 1:
-        found = _factor_degrees(f, n, p)
+    if 2 <= n <= TRACE_FACTOR_MAX_DEGREE and _by_traces(n, p) and f[-1] == 1:
+        found = _factor_degrees(f, p)
         return sum(found) == n, found
     derivative = f[1:] * np.arange(1, len(f)) % p
     return len(_gcd(f, derivative, p)) <= 1, None
@@ -469,21 +498,6 @@ def _require_monic_squarefree(f: np.ndarray, p: int) -> None:
         raise ValueError("distinct-degree splitting requires a monic polynomial")
     if not is_squarefree(f, p):
         raise ValueError("distinct-degree splitting requires a squarefree polynomial")
-
-
-def _toeplitz(w: np.ndarray, cols: int) -> np.ndarray:
-    # contiguous float64 n x cols matrix, n = w.shape[-1], whose row j is
-    # X^j w cut at X^cols, so x @ _toeplitz(w, n) is the product x w cut at
-    # X^n; leading axes of w are batch axes, one matrix per series.  Row j
-    # starts j zeros before w in a zero-padded copy, read with a negative
-    # row stride, and every index stays inside the copy (numpy checks it)
-    n = w.shape[-1]
-    padded = np.zeros(w.shape[:-1] + (n - 1 + max(n, cols),))
-    padded[..., n - 1 : 2 * n - 1] = w
-    step = padded.itemsize
-    rows = np.ndarray(w.shape[:-1] + (n, cols), buffer=padded, offset=(n - 1) * step,
-                      strides=padded.strides[:-1] + (-step, step))
-    return np.ascontiguousarray(rows)
 
 
 def _times(h: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
@@ -594,8 +608,8 @@ def factorization_pattern(f: np.ndarray, p: int) -> Pattern:
     ValueError on input that is not monic or not squarefree, where the
     pattern would be ill-defined.
 
-    When p > n = deg f and n <= :data:`TRACE_PATTERN_MAX_DEGREE`, the
-    pattern is read off traces.  F_p[X]/(f) is the product of the fields
+    When p > n = deg f and 2 <= n <= :data:`TRACE_FACTOR_MAX_DEGREE`,
+    the pattern is read off traces.  F_p[X]/(f) is the product of the fields
     F_(p^e), one per irreducible factor of degree e, and on F_(p^e) the
     i-th power of Frobenius has trace e if e divides i and 0 otherwise: it
     permutes the e elements of a normal basis, fixing all of them if e
@@ -605,49 +619,35 @@ def factorization_pattern(f: np.ndarray, p: int) -> Pattern:
     Programming* vol. 2, sec. 4.6.2), is the total degree S(i) of the
     factors whose degree divides i; since S(i) <= n < p, the residue is
     that integer.  Möbius inversion of S(e) = sum over m | e of m c_m gives
-    the number c_e of factors of degree e.  Up to
-    :data:`TRACE_SQUAREFREE_MAX_DEGREE`, :func:`is_squarefree` has just
-    taken the traces for every i <= n and cached the counts c_e, so the
-    pattern reads them and builds nothing.  Above it, the traces for
-    i <= n/2, about 2 sqrt(n/2) matrix products (see
-    :func:`charpoly_mod_p`), give c_e for e <= n/2, and the degree left over
-    is one factor of degree > n/2.  Otherwise the pattern comes from
-    :func:`distinct_degree_split`: for p <= n, where a trace cannot be read
-    as an integer, and above the crossover degree, where splitting's O(n^3)
-    is faster.
+    the number c_e of factors of degree e.  :func:`is_squarefree` has just
+    taken these traces for every i <= n and cached the counts c_e, so the
+    pattern reads them and builds nothing.  Otherwise the pattern comes
+    from :func:`distinct_degree_split`: for p <= n, where a trace cannot be
+    read as an integer, and above the crossover degree, where splitting's
+    O(n^3) is faster than the traces' O(n^3.5).
     """
     f = np.asarray(f, dtype=np.int64)
-    n = len(f) - 1
-    if n < 2 or n > TRACE_PATTERN_MAX_DEGREE or not _by_traces(n, p):
+    _require_monic_squarefree(f, p)
+    found = _squarefree(p, f.tobytes())[1]
+    if found is None:
         split = distinct_degree_split(f, p)
         return Pattern.from_pairs((i, (len(g) - 1) // i) for i, g in split.items())
-    return _pattern_traces(f, p)
+    return Pattern.from_pairs((e, v // e) for e, v in enumerate(found) if v)
 
 
-def _factor_degrees(f: np.ndarray, m: int, p: int) -> tuple[int, ...]:
-    # for monic f of degree n with 2 <= n < p, and m <= n: entry e of the
-    # result, 1 <= e <= m, is the total degree e c_e of the distinct
-    # irreducible factors of degree e, entry 0 is 0.  found[e] starts as
-    # tr(Q^e), the total degree of the distinct factors whose degree divides
-    # e, and once the divisors of e below it are taken out is e c_e: a sieve
-    # that performs the Möbius inversion
-    assert p > len(f) - 1, "a Frobenius trace up to deg f is read as an integer"
-    found = _power_traces(_frobenius(f, p)[1], m, p).tolist()
+def _factor_degrees(f: np.ndarray, p: int) -> tuple[int, ...]:
+    # for monic f of degree n with 2 <= n < p: entry e of the result,
+    # 1 <= e <= n, is the total degree e c_e of the distinct irreducible
+    # factors of degree e, entry 0 is 0.  found[e] starts as tr(Q^e), the
+    # total degree of the distinct factors whose degree divides e, and once
+    # the divisors of e below it are taken out is e c_e: a sieve that
+    # performs the Möbius inversion
+    n = len(f) - 1
+    assert p > n, "a Frobenius trace up to deg f is read as an integer"
+    found = _power_traces(_frobenius(f, p)[1], n, p).tolist()
     found[0] = 0
     for e in range(1, len(found)):
         assert found[e] % e == 0, "Frobenius traces must count factors"
         for multiple in range(2 * e, len(found), e):
             found[multiple] -= found[e]
     return tuple(found)
-
-
-def _pattern_traces(f: np.ndarray, p: int) -> Pattern:
-    # the factor degrees to n cached by the squarefree test, or else the
-    # traces to n/2: the degree they leave over is one factor above n/2
-    _require_monic_squarefree(f, p)
-    n = len(f) - 1
-    found = _squarefree(p, f.tobytes())[1] or _factor_degrees(f, n // 2, p)
-    rest = n - sum(found)
-    assert rest == 0 or rest > n // 2, "at most one factor has degree above n/2"
-    pairs = [(e, v // e) for e, v in enumerate(found) if v]
-    return Pattern.from_pairs(pairs + [(rest, 1)] if rest else pairs)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qseries import dim_cusp_forms, miller_basis
+from .qseries import _block, dim_cusp_forms, miller_basis
 
 __all__ = ["dim_cusp_forms", "hecke_matrix_T2"]
 
@@ -30,12 +30,11 @@ def hecke_matrix_T2(k: int, p) -> np.ndarray:
     before any work, unless every p is a prime below 2^20 and k an even
     weight of at least 12.
     """
-    single = np.ndim(p) == 0
-    block = [p] if single else list(p)
-    basis = miller_basis(k, block)  # checks every prime first
+    primes, single = _block(p)
+    basis = miller_basis(k, primes)
     d = basis.shape[1]
     entries = basis[:, :, 2 : 2 * d + 1 : 2].copy()
-    twos = np.array([pow(2, k - 1, int(q)) for q in block], dtype=np.int64)[:, None, None]
+    twos = np.array([pow(2, k - 1, q) for q in primes.tolist()], dtype=np.int64)[:, None, None]
     entries[:, :, 1::2] += twos * basis[:, :, 1 : d // 2 + 1]
-    entries %= np.array(block, dtype=np.int64)[:, None, None]
+    entries %= primes[:, None, None]
     return entries[0] if single else entries

@@ -30,10 +30,8 @@ and giant steps: with s = isqrt(d), rows 2 .. s are each the one before
 times the upper-triangular Toeplitz matrix of w, and each later block of s
 rows is the block before times the Toeplitz matrix of w^s, in one product.
 The elimination is one product per row.  The paper's range, k <= 14000,
-needs prec <= 2337.  A series product is a batched product with Toeplitz
-matrices for blocks of two or more primes up to
-:data:`SERIES_TOEPLITZ_MAX_LENGTH`, and one ``np.convolve`` per prime
-otherwise.
+needs prec <= 2337.  Series products and the Newton inverse are those of
+:mod:`maeda.ffpoly` (:func:`~maeda.ffpoly._mul`), batched over the block.
 """
 
 from __future__ import annotations
@@ -44,24 +42,12 @@ import operator
 
 import numpy as np
 
-from .ffpoly import MAX_FLOAT_TERMS, _matmul_residues, _reduce, _toeplitz
+from .ffpoly import _inverse, _matmul_residues, _mul, _toeplitz
 from .primes import check_modulus
 
 # sigma_5(n) < 1.04 n^5 < 2^63 for n <= 6000 (the first overflow is at 6168);
 # below 2^13, it also keeps every int64 and float64 sum of products exact.
 MAX_TABLE_PREC = 6000
-
-# A series product of length n takes, per prime of a block of B, either an
-# n x n Toeplitz matrix (a copy of n^2 floats) and its product, or one
-# np.convolve (n^2 / 2 multiply-adds, one call per prime).  Per product and
-# prime, us, best of 3 runs of 400, Toeplitz / convolve, on a 2-core Xeon
-# with numpy 2.4 (OpenBLAS): n = 37: 20.6/13.1 at B = 1, 10.0/9.7 at B = 2,
-# 6.8/8.3 at B = 4, 3.0/7.3 at B = 16; n = 103: 26.5/20.2, 17.2/16.4,
-# 12.3/13.8, 10.1/12.5; n = 150: 32.4/24.9, 23.6/21.4, 18.4/19.1,
-# 29.2/16.8; n = 205: 42.1/32.7, 33.2/26.9, 36.1/24.6, 61.3/22.4.  So
-# blocks of two or more primes take Toeplitz products up to this length
-# (d <= 61), and convolutions above it
-SERIES_TOEPLITZ_MAX_LENGTH = 127
 
 # The primes of one build: B primes at precision prec hold B prec^2 floats in
 # the Toeplitz matrix of the spanning rows, and each batched step is one
@@ -149,26 +135,6 @@ def _tables(prec: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sigma3, sigma5, euler
 
 
-def _mul(a: np.ndarray, b: np.ndarray, p: np.ndarray, start: int = 0,
-         stop: int | None = None) -> np.ndarray:
-    # coefficients start..stop-1 (stop = n by default) of a_r b_r mod p_r, for
-    # each row r of the float64 residue series a (B x m) and b (B x n), m <= n,
-    # and the column p of their primes, as float64 residues; exact, each
-    # coefficient sums at most m products.  For two or more rows up to
-    # SERIES_TOEPLITZ_MAX_LENGTH, each row of a times the Toeplitz matrix of
-    # that row of b, in one batched product; otherwise one convolution per
-    # row
-    m, n = a.shape[-1], b.shape[-1]
-    stop = n if stop is None else stop
-    if len(a) == 1 or n > SERIES_TOEPLITZ_MAX_LENGTH:
-        assert m < MAX_FLOAT_TERMS, "a float64 convolution could exceed 2^53"
-        out = np.empty((len(a), stop - start))
-        for r in range(len(a)):
-            out[r] = np.convolve(a[r], b[r])[start:stop]
-        return _reduce(out, p)
-    return _matmul_residues(a[:, None], _toeplitz(b, stop)[:, :m, start:], p[:, None])[:, 0]
-
-
 def _pow(a: np.ndarray, e: int, p: np.ndarray) -> np.ndarray:
     # a^e by right-to-left binary powering; the first factor is taken as it
     # is, not multiplied by 1
@@ -185,21 +151,9 @@ def _pow(a: np.ndarray, e: int, p: np.ndarray) -> np.ndarray:
     return result
 
 
-def _inverse(f: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # 1/f mod X^n for float64 residue series f (B x n) with f[:, 0] = 1, by
-    # Newton's iteration: if f g = 1 + X^m e mod X^t, then 1/f = g - X^m g e
-    # mod X^t, t <= 2m
-    g = np.ones((len(f), 1))
-    while g.shape[1] < f.shape[1]:
-        m = g.shape[1]
-        t = min(2 * m, f.shape[1])
-        e = _mul(g, f[:, :t], p, m, t)
-        g = np.concatenate((g, -_mul(g[:, : t - m], e, p) % p), axis=1)
-    return g
-
-
 def _block(p) -> tuple[np.ndarray, bool]:
-    # the moduli of a call as a 1-d int64 array, each checked, and whether p
+    # the moduli of a call to spanning_set, miller_basis or
+    # hecke.hecke_matrix_T2 as a 1-d int64 array, each checked, and whether p
     # was one prime rather than a sequence
     if np.ndim(p) > 1:
         raise ValueError("moduli must be one prime or a 1-d sequence of primes")
@@ -275,9 +229,9 @@ def miller_basis(k: int, p) -> np.ndarray:
     g_i minus its coefficients at q^(i+1) .. q^d times the finished rows
     below, one batched vector-matrix product per row for the whole block.
     """
-    single = np.ndim(p) == 0
-    done = spanning_set(k, [p] if single else p).astype(np.float64)
-    primes = np.array([p] if single else p, dtype=np.float64)[:, None, None]
+    primes, single = _block(p)
+    done = spanning_set(k, primes).astype(np.float64)
+    primes = primes.astype(np.float64)[:, None, None]
     d = done.shape[1]  # rows i+1.. are finished when row i starts
     for i in range(d - 2, -1, -1):
         # row i, 0-based, is f = g - c_(i+2) f_(i+2) - .. - c_d f_d, c_j the

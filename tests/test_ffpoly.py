@@ -22,19 +22,18 @@ from maeda import ffpoly
 from maeda.ffpoly import (
     MAX_FLOAT_TERMS,
     MAX_MODULUS,
-    TRACE_PATTERN_MAX_DEGREE,
-    TRACE_SQUAREFREE_MAX_DEGREE,
+    TRACE_FACTOR_MAX_DEGREE,
     _by_traces,
     _charpoly_hessenberg,
     _charpoly_traces,
-    _convolve,
     _divmod,
     _factor_degrees,
     _frobenius,
     _gcd,
+    _inverse,
     _matmul,
     _matmul_residues,
-    _pattern_traces,
+    _mul,
     _power_traces,
     _squarefree,
     charpoly_mod_p,
@@ -496,24 +495,29 @@ def test_float_residue_product_is_exact_at_the_worst_case():
 
 
 def test_series_product_is_exact_at_the_worst_case():
-    # every coefficient p - 1 at the largest p and the longest series
+    # every coefficient p - 1 at the largest primes and the longest series
     # (prec = 2337 at k = 14000): coefficient i sums i + 1 products, up to
-    # 2337 (p - 1)^2 < 2^53, against Python ints
-    p, n = 1048573, 2337
-    a = np.full(n, p - 1.0)
-    assert n * (p - 1) ** 2 < 2**53
-    exact = [(i + 1) * (p - 1) ** 2 % p for i in range(n)]
-    product = _convolve(a, a, p, 0, n)
-    assert product.dtype == np.float64 and product.astype(np.int64).tolist() == exact
-    assert _convolve(a, a, p, n - 3, n + 2).astype(np.int64).tolist() == [
-        min(i + 1, 2 * n - 1 - i) * (p - 1) ** 2 % p for i in range(n - 3, n + 2)]
-    # the Newton inverse of that series, checked by the exact product
-    unit = np.concatenate(([1.0], a[1:]))
-    inverse = ffpoly._inverse(unit, p)
-    assert _convolve(unit, inverse, p, 0, n).astype(np.int64).tolist() == [1] + [0] * (n - 1)
-    _convolve(np.ones(MAX_FLOAT_TERMS - 1), np.ones(MAX_FLOAT_TERMS + 5), 5)
+    # 2337 (p - 1)^2 < 2^53, against Python ints.  A block of one series
+    # with one int prime, as _divmod takes it, and a block of two primes
+    n = 2337
+    assert n * (MAX_MODULUS - 1) ** 2 < 2**53
+    for block, p in (([1048573], 1048573),
+                     ([1048573, 1048571], np.array([[1048573.0], [1048571.0]]))):
+        a = np.array([[q - 1.0] * n for q in block])
+        product = _mul(a, a, p)
+        assert product.dtype == np.float64 and product.astype(np.int64).tolist() == [
+            [(i + 1) * (q - 1) ** 2 % q for i in range(n)] for q in block]
+        assert _mul(a, a, p, n - 3, n + 2).astype(np.int64).tolist() == [
+            [min(i + 1, 2 * n - 1 - i) * (q - 1) ** 2 % q for i in range(n - 3, n + 2)]
+            for q in block]
+        # the Newton inverse of that series, checked by the exact product
+        unit = a.copy()
+        unit[:, 0] = 1
+        inverse = _inverse(unit, p)
+        assert _mul(unit, inverse, p).astype(np.int64).tolist() == [[1] + [0] * (n - 1)] * len(block)
+    _mul(np.ones((1, MAX_FLOAT_TERMS - 1)), np.ones((1, MAX_FLOAT_TERMS + 5)), 5)
     with pytest.raises(AssertionError):
-        _convolve(np.ones(MAX_FLOAT_TERMS), np.ones(MAX_FLOAT_TERMS), 5)
+        _mul(np.ones((1, MAX_FLOAT_TERMS)), np.ones((1, MAX_FLOAT_TERMS)), 5)
 
 
 @pytest.mark.parametrize("n", [15, 16, 17, 24, 25, 26, 99, 100, 101])  # s^2 and s^2 +- 1
@@ -596,6 +600,11 @@ def ddf_pattern(f: np.ndarray, p: int) -> Pattern:
     return Pattern.from_pairs((i, (len(g) - 1) // i) for i, g in distinct_degree_split(f, p).items())
 
 
+def trace_pattern(f: np.ndarray, p: int) -> Pattern:
+    """The factorization pattern by the Frobenius traces to deg f alone."""
+    return Pattern.from_pairs((e, v // e) for e, v in enumerate(_factor_degrees(f, p)) if v)
+
+
 @pytest.mark.parametrize(
     "p, shape",
     [
@@ -615,7 +624,7 @@ def test_trace_pattern_matches_ddf_and_sympy_on_planted_products(p, shape):
     f = np.array(product, dtype=np.int64)
     expected = Pattern.from_lengths(shape)
     assert _by_traces(len(f) - 1, p)
-    assert _pattern_traces(f, p) == expected
+    assert trace_pattern(f, p) == expected
     assert ddf_pattern(f, p) == expected
     assert factorization_pattern(f, p) == expected
     assert sympy_factor_degrees(product, p) == sorted((m, 1) for m in shape)
@@ -632,7 +641,7 @@ def test_trace_pattern_matches_ddf_and_sympy_on_T2_reductions(k):
         assert len(fp) == d + 1 and _by_traces(d, p)
         if not is_squarefree(fp, p):
             continue
-        traced = _pattern_traces(fp, p)
+        traced = trace_pattern(fp, p)
         assert traced == ddf_pattern(fp, p), (k, p)
         factors = sympy_factor_degrees(fp.tolist(), p)
         assert traced == Pattern.from_lengths(m for m, _ in factors), (k, p)
@@ -642,10 +651,11 @@ def test_trace_pattern_matches_ddf_and_sympy_on_T2_reductions(k):
 
 @pytest.fixture
 def paths(monkeypatch) -> list[str]:
-    """The kernels charpoly_mod_p and factorization_pattern call, in order."""
+    """The kernels charpoly_mod_p, is_squarefree and factorization_pattern
+    call, in order."""
     taken: list[str] = []
     for name, kernel in (("traces", "_charpoly_traces"), ("hessenberg", "_charpoly_hessenberg"),
-                         ("traces", "_pattern_traces"), ("split", "distinct_degree_split")):
+                         ("traces", "_factor_degrees"), ("split", "distinct_degree_split")):
         original = getattr(ffpoly, kernel)
         monkeypatch.setattr(ffpoly, kernel, lambda *a, _f=original, _n=name: taken.append(_n) or _f(*a))
     return taken
@@ -669,16 +679,6 @@ def test_selection_boundary_in_d_and_p(paths, monkeypatch):
         else:
             with pytest.raises(AssertionError):
                 _charpoly_traces(m, p)
-    # the pattern at the crossover degree against one more, p = 1048573:
-    # traces, then distinct-degree splitting; both paths agree on either
-    for n in (TRACE_PATTERN_MAX_DEGREE, TRACE_PATTERN_MAX_DEGREE + 1):
-        shape = (1,) * (n - 16) + (2,) * 3 + (3, 7)
-        product, _ = planted_polynomial(random.Random(n), 1048573, shape)
-        f = np.array(product, dtype=np.int64)
-        paths.clear()
-        assert factorization_pattern(f, 1048573) == Pattern.from_lengths(shape)
-        assert paths == (["traces"] if n == TRACE_PATTERN_MAX_DEGREE else ["split"])
-        assert _pattern_traces(f, 1048573) == ddf_pattern(f, 1048573) == Pattern.from_lengths(shape)
     # p <= d against p > d at d = 30 (k = 360): p = 29 takes Hessenberg and
     # distinct-degree splitting, and the traces refuse it, since Newton's
     # identities divide by 29 and a Frobenius trace of 30 reads as 1
@@ -698,31 +698,36 @@ def test_selection_boundary_in_d_and_p(paths, monkeypatch):
     assert factorization_pattern(f, 29) == Pattern.from_lengths((1, 2, 3, 24))
     assert paths == ["split"]
     with pytest.raises(AssertionError):
-        _pattern_traces(f, 29)
-    # squarefreeness at its crossover degree against one more, p = 1048573:
-    # the traces to n, whose factor degrees the pattern then reads, and then
-    # the gcd with the derivative; a planted product, squarefree and with
-    # one linear factor repeated
+        _factor_degrees(f, 29)
+    # squarefreeness and the pattern at the crossover degree against one
+    # more, p = 1048573: the traces to n alone, whose factor degrees the
+    # pattern reads, and then a gcd with the derivative and distinct-degree
+    # splitting.  A planted product of factors that sympy certifies
+    # irreducible, squarefree and with one linear factor repeated, each
+    # also against sympy's squarefree decomposition (its full factorization
+    # takes over a minute at these degrees)
+    p = 1048573
     gcds = []
     monkeypatch.setattr(ffpoly, "_gcd", lambda *a, _f=_gcd: gcds.append(1) or _f(*a))
-    for n in (TRACE_SQUAREFREE_MAX_DEGREE, TRACE_SQUAREFREE_MAX_DEGREE + 1):
-        shape = (1,) * (n - 13) + (2, 3, 3, 5)
-        product, factors = planted_polynomial(random.Random(n), 1048573, shape)
-        f = np.array(product, dtype=np.int64)
-        repeated = np.array(poly_mul(planted_polynomial(random.Random(n), 1048573, shape[1:])[0],
-                                     factors[0], 1048573), dtype=np.int64)
-        assert len(repeated) == len(f) == n + 1
-        for g, squarefree in ((f, True), (repeated, False)):
+    for n in (TRACE_FACTOR_MAX_DEGREE, TRACE_FACTOR_MAX_DEGREE + 1):
+        rest = n - 233  # two factors of degree below 48, drawn at random
+        shape = (1,) * 3 + tuple(range(2, 22)) + (rest // 2, rest - rest // 2)
+        product, factors = planted_polynomial(random.Random(n), p, shape)
+        repeated = [1]  # the first linear factor in place of the second
+        for g in [factors[0], factors[0], *factors[2:]]:
+            repeated = poly_mul(repeated, g, p)
+        assert len(repeated) == len(product) == n + 1
+        for coeffs, squarefree in ((product, True), (repeated, False)):
+            assert sympy_squarefree(coeffs, p) is squarefree
+            g = np.array(coeffs, dtype=np.int64)
             gcds.clear()
-            assert is_squarefree(g, 1048573) is squarefree
-            traced = _squarefree(1048573, g.tobytes())[1] is not None
-            assert traced == (n == TRACE_SQUAREFREE_MAX_DEGREE) and bool(gcds) != traced
-        # a search's trial: the test, then the pattern, which builds no gcd
-        gcds.clear()
-        paths.clear()
-        assert is_squarefree(f, 1048573)
-        assert factorization_pattern(f, 1048573) == Pattern.from_lengths(shape)
-        assert paths == ["traces"] and len(gcds) == (n > TRACE_SQUAREFREE_MAX_DEGREE)
+            paths.clear()
+            assert is_squarefree(g, p) is squarefree
+            if squarefree:
+                assert factorization_pattern(g, p) == Pattern.from_lengths(shape)
+            traced = n == TRACE_FACTOR_MAX_DEGREE
+            assert paths == (["traces"] if traced else ["split"] if squarefree else [])
+            assert bool(gcds) != traced
 
 
 @pytest.mark.parametrize("d, chunks", [(91, 2), (128, 3)])
@@ -767,8 +772,8 @@ def test_trace_pattern_above_degree_90_matches_ddf_and_sympy(p, shape):
     # check_planted checks distinct_degree_split directly, whose subproducts
     # the search no longer meets at these degrees
     f = check_planted(random.Random(len(shape) + p), p, shape)
-    assert 90 < len(f) - 1 <= TRACE_PATTERN_MAX_DEGREE and _by_traces(len(f) - 1, p)
-    assert _pattern_traces(f, p) == Pattern.from_lengths(shape)
+    assert 90 < len(f) - 1 <= TRACE_FACTOR_MAX_DEGREE and _by_traces(len(f) - 1, p)
+    assert trace_pattern(f, p) == Pattern.from_lengths(shape)
 
 
 @pytest.mark.parametrize("k", [1200, 2400, 4800])  # d = 100, 200, 400
@@ -780,17 +785,17 @@ def test_pattern_paths_on_T2_reductions_above_degree_90(k, paths):
     checked = {"traces": 0, "split": 0}
     for p in below + [next_prime(d), 1048571, 1048573]:
         fp = charpoly_mod_p(hecke.hecke_matrix_T2(k, p), p)
+        paths.clear()
         if not is_squarefree(fp, p):
             continue
-        paths.clear()
         got = factorization_pattern(fp, p)
-        path = "traces" if p > d and d <= TRACE_PATTERN_MAX_DEGREE else "split"
+        path = "traces" if p > d and d <= TRACE_FACTOR_MAX_DEGREE else "split"
         assert paths == [path], (k, p)
         assert got == ddf_pattern(fp, p), (k, p)
         if p > d:
-            assert got == _pattern_traces(fp, p), (k, p)
+            assert got == trace_pattern(fp, p), (k, p)
         checked[path] += 1
-    assert checked["traces" if d <= TRACE_PATTERN_MAX_DEGREE else "split"] >= 2, checked
+    assert checked["traces" if d <= TRACE_FACTOR_MAX_DEGREE else "split"] >= 2, checked
 
 
 def test_power_traces_of_a_permutation_matrix():
@@ -814,16 +819,14 @@ def test_trace_pattern_raises_the_ddf_errors(coeffs, p):
     f = poly(p, coeffs)
     with pytest.raises(ValueError) as ddf:
         distinct_degree_split(f, p)
-    with pytest.raises(ValueError) as traced:
-        _pattern_traces(f, p)
     with pytest.raises(ValueError) as pattern:
         factorization_pattern(f, p)
-    assert str(traced.value) == str(ddf.value) == str(pattern.value)
+    assert str(pattern.value) == str(ddf.value)
 
 
 # ---------------------------------------------------------------------------
 # squarefreeness from the Frobenius traces to n (p > n, n up to
-# TRACE_SQUAREFREE_MAX_DEGREE) against the gcd with the derivative
+# TRACE_FACTOR_MAX_DEGREE) against the gcd with the derivative
 
 def gcd_squarefree(f: np.ndarray, p: int) -> bool:
     """Squarefreeness by a gcd with the derivative alone."""
@@ -854,40 +857,28 @@ def irreducible(rng: random.Random, p: int, m: int) -> list[int]:
     return planted_polynomial(rng, p, (m,))[1][0]
 
 
-def half_traces_read_a_pattern(f: np.ndarray, p: int) -> bool:
-    """The traces to n/2 alone give a consistent pattern: what is left over
-    is nothing or one factor above n/2, so they cannot see a repeat."""
-    n = len(f) - 1
-    rest = n - sum(_factor_degrees(f, n // 2, p))
-    return rest == 0 or rest > n // 2
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 9, 16, 30, 49, 50, 51, 90, 100,
-                               TRACE_SQUAREFREE_MAX_DEGREE - 1, TRACE_SQUAREFREE_MAX_DEGREE])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 9, 16, 30, 49, 50, 51, 90, 100, 149, 150,
+                               TRACE_FACTOR_MAX_DEGREE])
 def test_trace_squarefree_rule_on_planted_repeated_factors(n):
     # X^2 h, g^2 h and (X - a)^3 h, h irreducible, with a squarefree (X - b) h
-    # as a control; p > n, so every one takes the trace rule.  The traces to
-    # n/2 alone would read (X - a)^3, and every product whose h has degree
-    # above n/2, as squarefree
+    # as a control; p > n, so every one takes the trace rule
     rng = random.Random(n)
-    cases = []  # (p, factors with repeats, squarefree?, the n/2 traces misread it)
+    cases = []  # (p, factors with repeats, squarefree?)
     p = prime_for_degree(n - 2, n) if n > 2 else next_prime(n)
-    cases.append((p, [[0, 1], [0, 1]] + ([irreducible(rng, p, n - 2)] if n > 2 else []), False,
-                  n - 2 > n // 2))
+    cases.append((p, [[0, 1], [0, 1]] + ([irreducible(rng, p, n - 2)] if n > 2 else []), False))
     p = prime_for_degree(n - 1, n) if n > 1 else next_prime(n)
-    cases.append((p, planted_polynomial(rng, p, (1, n - 1))[1], True, False))
+    cases.append((p, planted_polynomial(rng, p, (1, n - 1))[1], True))
     if n >= 4:
         e = min(3, (n - 2) // 2)
         p = prime_for_degree(n - 2 * e, 1 << 19)
         g = irreducible(rng, p, e)
         h = irreducible(rng, p, n - 2 * e)
-        cases.append((p, [g, g, h], False, n - 2 * e > n // 2))
+        cases.append((p, [g, g, h], False))
     if n >= 3:
         p = prime_for_degree(n - 3, n) if n > 3 else next_prime(1 << 19)
         a = rng.randrange(1, p)
-        cases.append((p, [[p - a, 1]] * 3 + ([irreducible(rng, p, n - 3)] if n > 3 else []), False,
-                      n == 3 or n - 3 > n // 2))
-    for p, factors, squarefree, misread in cases:
+        cases.append((p, [[p - a, 1]] * 3 + ([irreducible(rng, p, n - 3)] if n > 3 else []), False))
+    for p, factors, squarefree in cases:
         product = [1]
         for g in factors:
             product = poly_mul(product, g, p)
@@ -897,8 +888,6 @@ def test_trace_squarefree_rule_on_planted_repeated_factors(n):
         assert _squarefree(p, f.tobytes())[1] is not None  # the trace rule
         assert gcd_squarefree(f, p) is squarefree
         assert sympy_squarefree(product, p) is squarefree
-        if misread:
-            assert half_traces_read_a_pattern(f, p)
 
 
 @pytest.mark.parametrize("k, last", [(200, 223), (400, 433), (596, 773)])  # d = 16, 33, 49

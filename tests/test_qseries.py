@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maeda import qseries
+from maeda import ffpoly, qseries
 from maeda.oracles import (
     PrecisionError,
     QSeries,
@@ -267,8 +267,8 @@ def test_one_prime_and_a_block_of_one_differ_only_by_the_batch_axis():
 
 
 @pytest.mark.parametrize("n, block", [
-    (qseries.SERIES_TOEPLITZ_MAX_LENGTH, [1048573, 1048571, 2, 3]),  # Toeplitz products
-    (qseries.SERIES_TOEPLITZ_MAX_LENGTH + 1, [1048573, 3]),  # one convolution per row
+    (ffpoly.SERIES_TOEPLITZ_MAX_LENGTH, [1048573, 1048571, 2, 3]),  # Toeplitz products
+    (ffpoly.SERIES_TOEPLITZ_MAX_LENGTH + 1, [1048573, 3]),  # one convolution per row
     (qseries.MAX_TABLE_PREC, [1048573, 1048571]),  # the longest series: most terms per sum
 ])
 def test_batched_series_product_is_exact_at_the_largest_residues(n, block):
@@ -276,11 +276,11 @@ def test_batched_series_product_is_exact_at_the_largest_residues(n, block):
     # products a float64 sum meets here, checked against Python ints
     p = np.array(block, dtype=np.float64)[:, None]
     top = np.ones((len(block), n)) * (p - 1)
-    product = qseries._mul(top, top, p)
+    product = ffpoly._mul(top, top, p)
     assert product.tolist() == [[(j + 1) * (q - 1) ** 2 % q for j in range(n)] for q in block]
     # coefficients n/2 .. n-1 of the product of a shorter and a longer series
     half = n // 2
-    tail = qseries._mul(top[:, :half], top, p, half, n)
+    tail = ffpoly._mul(top[:, :half], top, p, half, n)
     assert tail.tolist() == [[half * (q - 1) ** 2 % q for _ in range(half, n)] for q in block]
 
 
