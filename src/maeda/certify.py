@@ -35,7 +35,6 @@ primes, and ``perfbench/oracle.py``, which shares no code with this package.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import random
 import time
@@ -213,9 +212,9 @@ def sample_prime(rng: random.Random, bound: int) -> int:
     uniformly, so each is drawn with probability exactly 1/pi(bound).
     """
     primes = sieve_primes(bound)
-    if not primes:
+    if not len(primes):
         raise ValueError(f"no primes below {bound}")
-    return primes[rng.randrange(len(primes))]
+    return int(primes[rng.randrange(len(primes))])
 
 
 def _built(k: int, primes: Iterable[int], size: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -239,7 +238,10 @@ def _pattern_of(matrix: np.ndarray, p: int) -> Pattern | None:
 
 def _weight_seed(seed: int, k: int) -> int:
     # Stable per-weight derivation, so batch runs reproduce independently of
-    # scheduling order (Python's salted hash() would not).
+    # scheduling order (Python's salted hash() would not).  hashlib is
+    # imported here, so that a check process never loads OpenSSL.
+    import hashlib
+
     digest = hashlib.blake2b(f"{seed}:{k}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
@@ -283,7 +285,7 @@ def verify_weight(
         primes: Iterable[int] = (sample_prime(rng, bound) for _ in itertools.count())
         cert_seed: int | None = seed
     else:  # a finite stream: the search may run out of primes below the bound
-        primes = sieve_primes(bound)
+        primes = map(int, sieve_primes(bound))
         cert_seed = None
 
     witnesses: dict[PrimeType, Witness] = {}

@@ -112,7 +112,7 @@ def density_III(d: int) -> Fraction:
     if d < 2:
         raise ValueError("kind III density needs d >= 2")
     total = sum(
-        (Fraction(1, ell) for ell in sieve_primes(d + 1) if 2 * ell > d),
+        (Fraction(1, ell) for ell in sieve_primes(d + 1).tolist() if 2 * ell > d),
         Fraction(0),
     )
     assert total > 0, "a prime always exists in (d/2, d] for d >= 2"
@@ -196,7 +196,7 @@ def check_density_bounds(d_max: int) -> BoundReport:
     if lower_bound(PrimeType.III, d_max) is None:
         raise ValueError(f"the kind III bound is not defined at any d <= {d_max}")
     reciprocals = [0.0] * (d_max + 1)  # sum of 1/l over primes l <= x
-    primes = set(sieve_primes(d_max + 1))
+    primes = set(sieve_primes(d_max + 1).tolist())
     for x in range(1, d_max + 1):
         reciprocals[x] = reciprocals[x - 1] + (1.0 / x if x in primes else 0.0)
 
@@ -224,7 +224,7 @@ def prime_reciprocal_sum(x: float) -> float:
     """sum of 1/p over primes p <= x, by direct sieve-and-add."""
     if x < 2:
         return 0.0
-    return sum(1.0 / p for p in sieve_primes(int(x) + 1))
+    return sum(1.0 / p for p in sieve_primes(int(x) + 1).tolist())
 
 
 def prime_reciprocal_bounds(x: float) -> tuple[float, float]:

@@ -21,16 +21,27 @@ _MR_TWO_BASES_BOUND = 1_373_653
 
 
 @functools.lru_cache(maxsize=8)
-def sieve_primes(bound: int) -> tuple[int, ...]:
-    """All primes strictly below ``bound``, ascending."""
+def sieve_primes(bound: int) -> np.ndarray:
+    """All primes strictly below ``bound``, ascending, as a read-only int64 array.
+
+    The array is cached and shared, hence read-only.  Its elements are numpy
+    integers: take ``int(primes[i])`` or ``primes.tolist()`` where Python
+    ints are needed (certificates, Fractions, float sums).
+    """
     if bound <= 2:
-        return ()
-    flags = np.ones(bound, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(bound - 1) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return tuple(np.flatnonzero(flags).tolist())
+        primes = np.empty(0, dtype=np.int64)
+    else:
+        # odd numbers only: odd[i] stands for 2i + 1, and the odd multiples
+        # of p from p^2 on are every p-th entry from p^2 // 2
+        odd = np.ones(bound // 2, dtype=bool)
+        odd[0] = False
+        for i in range(1, (math.isqrt(bound - 1) + 1) // 2):
+            if odd[i]:
+                p = 2 * i + 1
+                odd[p * p // 2 :: p] = False
+        primes = np.concatenate(([2], 2 * np.flatnonzero(odd) + 1)).astype(np.int64, copy=False)
+    primes.flags.writeable = False
+    return primes
 
 
 def is_prime(n: int) -> bool:

@@ -229,7 +229,7 @@ def test_criterion_8_certificate_tamper_detection(tmp_path):
     original = cert.witnesses[T.I]
     matrix = hecke_matrix_T2(48)
     substitute = None
-    for p in sieve_primes(10_000):
+    for p in sieve_primes(10_000).tolist():
         if p == original.prime:
             continue
         fp = charpoly_mod_p(reduce_matrix(matrix, p), p)

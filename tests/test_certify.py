@@ -2,8 +2,10 @@
 
 import bisect
 import dataclasses
+import json
 import random
 
+import numpy as np
 import pytest
 
 from maeda import certify
@@ -19,6 +21,7 @@ from maeda.certify import (
     sample_prime,
     verify_weight,
 )
+from maeda.cli import certificate_to_json
 from maeda.ffpoly import charpoly_mod_p, factorization_pattern, is_squarefree, reduce_matrix
 from maeda.hecke import dim_cusp_forms
 from maeda.oracles import hecke_matrix_T2
@@ -79,13 +82,36 @@ def test_sample_prime_uniform_chi_square():
 
 
 def test_prime_pool_size_below_2_20():
-    assert len(sieve_primes(1 << 20)) == 82025
+    # one cached int64 array, shared by every caller, so it must be read-only
+    primes = sieve_primes(1 << 20)
+    assert len(primes) == 82025 and primes.dtype == np.int64
+    assert primes is sieve_primes(1 << 20) and not primes.flags.writeable
+    with pytest.raises(ValueError):
+        primes[0] = 4
 
 
 def test_sieve_primes_matches_primality_test():
-    primes = [n for n in range(5001) if is_prime(n)]
-    for bound in range(5002):
-        assert sieve_primes(bound) == tuple(primes[: bisect.bisect_left(primes, bound)]), bound
+    # every bound to 3000, and each side of the square of every prime below
+    # 60, where the odd-only sieve starts crossing out that prime's multiples
+    squares = [q * q + e for q in range(60) if is_prime(q) for e in (-1, 0, 1)]
+    primes = [n for n in range(max(squares) + 1) if is_prime(n)]
+    for bound in [*range(3001), *squares]:
+        assert sieve_primes(bound).tolist() == primes[: bisect.bisect_left(primes, bound)], bound
+
+
+def test_drawn_and_consecutive_primes_are_python_ints():
+    # sample_prime indexes the sieve as before, so the draws are unchanged;
+    # certificates hold Python ints, which JSON can write
+    rng = random.Random(2026)
+    draws = [sample_prime(rng, 1 << 20) for _ in range(6)] + [sample_prime(rng, 100)
+                                                              for _ in range(6)]
+    assert draws == [171401, 504563, 825829, 842617, 145417, 341017, 71, 71, 61, 43, 67, 61]
+    assert all(type(p) is int for p in draws)
+    for cert in (verify_weight(48, seed=1), verify_weight(48, mode="consecutive")):
+        primes = [w.prime for w in cert.witnesses.values()]
+        assert all(type(p) is int for p in primes)
+        written = json.loads(certificate_to_json(cert))["witnesses"].values()
+        assert [w["prime"] for w in written] == primes
 
 
 def test_verify_weight_dim_one_vacuous():
@@ -206,7 +232,7 @@ def find_non_witness_prime(weight: int, kind: PrimeType, recorded: Witness) -> i
     """Smallest prime whose pattern differs from the recorded witness pattern."""
     m = hecke_matrix_T2(weight)
     d = m.d
-    for p in sieve_primes(10_000):
+    for p in sieve_primes(10_000).tolist():
         if p == recorded.prime:
             continue
         fp = charpoly_mod_p(reduce_matrix(m, p), p)
@@ -310,7 +336,7 @@ def test_search_builds_no_prime_past_the_trial_cap_or_the_stream(
     with pytest.raises(SearchExhausted, match=f"^weight 200: {message}$"):
         verify_weight(200, "consecutive", **kwargs)
     assert [len(block) for block in built_blocks] == sizes
-    assert [p for block in built_blocks for p in block] == list(sieve_primes(1 << 20)[:trials])
+    assert [p for block in built_blocks for p in block] == sieve_primes(1 << 20)[:trials].tolist()
 
 
 @pytest.mark.parametrize("k, mode", [(12, "random"), (48, "random"), (300, "random"),
@@ -325,7 +351,7 @@ def test_search_builds_each_drawn_prime_once_in_doubling_blocks(built_blocks, k,
     assert sizes == [min(2**i, max_block(k)) for i in range(len(sizes))]
     built = [p for block in built_blocks for p in block]
     if mode == "consecutive":
-        drawn = list(sieve_primes(1 << 20)[: len(built)])
+        drawn = sieve_primes(1 << 20)[: len(built)].tolist()
     else:
         rng = random.Random(certify._weight_seed(1, k))
         drawn = [sample_prime(rng, 1 << 20) for _ in built]
@@ -496,7 +522,7 @@ def test_is_prime_with_two_bases_below_their_bound():
     from maeda.primes import _MR_TWO_BASES_BOUND
     assert _MR_TWO_BASES_BOUND == 829 * 1657
     assert not is_prime(_MR_TWO_BASES_BOUND)
-    primes = set(sieve_primes(_MR_TWO_BASES_BOUND + 1000))
+    primes = set(sieve_primes(_MR_TWO_BASES_BOUND + 1000).tolist())
     window = range(_MR_TWO_BASES_BOUND - 20_000, _MR_TWO_BASES_BOUND + 1000)
     sample = random.Random(5).sample(range(1 << 20), 20_000)
     assert all(is_prime(n) == (n in primes) for n in [*range(2000), *sample, *window])

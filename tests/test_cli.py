@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -502,7 +503,8 @@ def test_cmd_density_table(capsys):
 # ---------------------------------------------------------------------------
 # golden outputs: density and stats print and write exactly these bytes
 
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 STATS_FILES = ("stats.csv", "histogram_I.csv", "histogram_II.csv", "histogram_III.csv")
 
 
@@ -564,6 +566,8 @@ def test_verify_outputs_are_golden(tmp_path, capsys, runs, stdout, summary, code
 
 
 def test_main_entry_points(tmp_path, capsys, monkeypatch):
+    # run in-process, main leaves the collector alone: only run() freezes it
+    frozen = gc.get_freeze_count()
     out = tmp_path / "cli"
     code = main(["verify", "--from", "12", "--to", "16", "--seed", "1",
                  "--out", str(out)])
@@ -585,6 +589,52 @@ def test_main_entry_points(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["verify", "--from", "12"])  # argparse: missing --to
     capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+def test_run_freezes_the_collector_after_main_returns(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 1)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as exited:
+        cli.run()
+    assert calls == ["main", "freeze"] and exited.value.code == 1
+
+
+def test_console_script_is_run():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["scripts"] == {"maeda": "maeda.cli:run"}
+
+
+def _maeda_process(*args: str) -> subprocess.CompletedProcess:
+    # a fresh `python -m maeda.cli` process, which exits through run()
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("MAEDA_OUT", None)
+    return subprocess.run([sys.executable, "-m", "maeda.cli", *args], capture_output=True,
+                          env=env)
+
+
+def test_process_output_and_exit_codes_survive_the_frozen_exit(tmp_path):
+    # stdout is flushed whole before the process exits, and main's code is
+    # the exit status: 0 on success, 1 for a tampered certificate, 2 for a
+    # configuration error
+    verify = _maeda_process("verify", "--from", "10", "--to", "60", "--seed", "1",
+                            "--out", str(tmp_path))
+    assert (verify.returncode, verify.stderr) == (0, b"")
+    assert verify.stdout == (GOLDEN / "verify_stdout.txt").read_bytes()
+
+    cert = read_certificate(tmp_path / "cert_48.json")
+    witnesses = dict(cert.witnesses)
+    witnesses[T.I] = dataclasses.replace(
+        witnesses[T.I], prime=find_non_witness_prime(48, T.I, cert.witnesses[T.I]))
+    write_certificate(tmp_path / "cert_48.json", dataclasses.replace(cert, witnesses=witnesses))
+    check = _maeda_process("check", str(tmp_path))
+    assert check.returncode == 1 and b"cert_48.json: FAIL" in check.stdout
+
+    unset = _maeda_process("verify", "--from", "12", "--to", "12")
+    assert unset.returncode == 2 and b"--out is required" in unset.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def test_reduce_matrix_examples():
 def test_reduce_matrix_trace_matches_integer_trace():
     m = hecke_matrix_T2(24)
     rng = random.Random(5)
-    primes = sieve_primes(MAX_MODULUS)
+    primes = sieve_primes(MAX_MODULUS).tolist()
     for _ in range(20):
         p = primes[rng.randrange(len(primes))]
         a = reduce_matrix(m, p)
@@ -153,7 +153,7 @@ def test_charpoly_mod_p_on_pivot_paths(d):
 
 def test_charpoly_mod_p_matches_reduced_exact_charpoly():
     rng = random.Random(17)
-    primes = sieve_primes(MAX_MODULUS)
+    primes = sieve_primes(MAX_MODULUS).tolist()
     for k in (24, 48, 84):  # d = 2, 4, 7
         m = hecke_matrix_T2(k)
         exact = charpoly_exact(m)
@@ -389,7 +389,7 @@ def planted_shapes(draw, min_degree: int = 1):
 @pytest.mark.parametrize("k", [300, 600, 1200])  # d = 25, 50, 100
 def test_pattern_matches_sympy_on_T2_reductions(k):
     rng = random.Random(k)
-    primes = sieve_primes(MAX_MODULUS)
+    primes = sieve_primes(MAX_MODULUS).tolist()
     checked = 0
     for p in [2, 3, 5, 7] + [primes[rng.randrange(len(primes))] for _ in range(4)]:
         fp = charpoly_mod_p(hecke.hecke_matrix_T2(k, p), p)
@@ -544,7 +544,7 @@ def test_frobenius_rows_at_block_boundaries(n):
 
 def next_prime(n: int) -> int:
     """The least prime above n."""
-    return next(q for q in sieve_primes(2 * n + 3) if q > n)
+    return next(q for q in sieve_primes(2 * n + 3).tolist() if q > n)
 
 
 def test_trace_charpoly_equals_hessenberg_on_T2_for_every_d_to_90():
@@ -563,7 +563,7 @@ def small_matrices(draw):
     """An integer matrix of size d <= 12 of one of several shapes, and a
     prime p with d < p <= 200."""
     d = draw(st.integers(0, 12))
-    p = draw(st.sampled_from([q for q in sieve_primes(201) if q > d]))
+    p = draw(st.sampled_from([q for q in sieve_primes(201).tolist() if q > d]))
     kind = draw(st.sampled_from(["random", "zero", "scalar", "nilpotent", "block-diagonal"]))
     entries = st.integers(-10**6, 10**6)
     rows = [[draw(entries) for _ in range(d)] for _ in range(d)]
@@ -634,7 +634,7 @@ def test_trace_pattern_matches_ddf_and_sympy_on_planted_products(p, shape):
 def test_trace_pattern_matches_ddf_and_sympy_on_T2_reductions(k):
     d = hecke.dim_cusp_forms(k)
     rng = random.Random(k)
-    primes = sieve_primes(MAX_MODULUS)
+    primes = sieve_primes(MAX_MODULUS).tolist()
     checked = 0
     for p in [next_prime(d), 1048571] + [primes[rng.randrange(len(primes))] for _ in range(3)]:
         fp = charpoly_mod_p(hecke.hecke_matrix_T2(k, p), p)
@@ -781,7 +781,7 @@ def test_pattern_paths_on_T2_reductions_above_degree_90(k, paths):
     # traces for p > d up to the crossover degree; splitting for p <= d (at
     # d = 100 every such reduction has a repeated factor) and above it
     d = hecke.dim_cusp_forms(k)
-    below = [q for q in sieve_primes(d + 1) if q > d - 20]
+    below = [q for q in sieve_primes(d + 1).tolist() if q > d - 20]
     checked = {"traces": 0, "split": 0}
     for p in below + [next_prime(d), 1048571, 1048573]:
         fp = charpoly_mod_p(hecke.hecke_matrix_T2(k, p), p)
@@ -896,7 +896,7 @@ def test_trace_squarefree_rule_equals_gcd_on_T2_reductions(k, last):
     # last witness: about a third of the reductions are not squarefree
     d = hecke.dim_cusp_forms(k)
     results = []
-    for p in (q for q in sieve_primes(last + 1) if q > d):
+    for p in (q for q in sieve_primes(last + 1).tolist() if q > d):
         fp = charpoly_mod_p(hecke.hecke_matrix_T2(k, p), p)
         squarefree = is_squarefree(fp, p)
         assert _squarefree(p, fp.tobytes())[1] is not None  # the trace rule

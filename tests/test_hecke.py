@@ -137,7 +137,7 @@ MOD_P_WEIGHTS = [*range(12, 241, 2), 300, 400, 596, 600, 1200]
 def test_t2_mod_p_matches_reduced_exact_matrix(k):
     # differential: the int64 build against the big-integer build, reduced
     exact = hecke_matrix_T2(k)
-    primes = [2, 3, 5, 7, 1048573, *random.Random(k).sample(sieve_primes(1 << 20), 3)]
+    primes = [2, 3, 5, 7, 1048573, *random.Random(k).sample(sieve_primes(1 << 20).tolist(), 3)]
     for p in primes:
         modp = hecke.hecke_matrix_T2(k, p)
         assert modp.dtype == np.int64 and modp.shape == (exact.d, exact.d)
@@ -148,7 +148,7 @@ def test_t2_mod_p_matches_reduced_exact_matrix(k):
 def test_t2_mod_p_matches_reduced_exact_matrix_at_first_primes(k):
     # consecutive mode tests the smallest primes first, at every weight
     exact = hecke_matrix_T2(k)
-    for p in sieve_primes(1 << 20)[:30]:
+    for p in sieve_primes(1 << 20)[:30].tolist():
         assert np.array_equal(hecke.hecke_matrix_T2(k, p), reduce_matrix(exact, p)), (k, p)
 
 
@@ -188,10 +188,10 @@ def _mixed_primes(d: int, length: int) -> list[int]:
     # prime past the precision, the two largest primes below 2^20, then
     # random primes
     prec = 2 * (d + 2) + 1
-    small = [p for p in sieve_primes(d + 1)[-1:] if p > 3]
-    above = next(p for p in sieve_primes(2 * prec + 2) if p > prec)
+    small = [p for p in sieve_primes(d + 1)[-1:].tolist() if p > 3]
+    above = next(p for p in sieve_primes(2 * prec + 2).tolist() if p > prec)
     special = [2, 3, *small, above, 1048571, 1048573]
-    rest = random.Random(d).sample(sieve_primes(1 << 20), max(0, length - len(special)))
+    rest = random.Random(d).sample(sieve_primes(1 << 20).tolist(), max(0, length - len(special)))
     return (special + rest)[:length]
 
 

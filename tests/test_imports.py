@@ -51,6 +51,26 @@ def test_verify_and_check_load_neither_density_nor_statistics(tmp_path):
     assert not {"maeda.density", "statistics", "fractions"} & set(modules)
 
 
+def test_check_loads_no_hashlib(tmp_path):
+    # only verify derives per-weight seeds with blake2b; a check process
+    # never loads OpenSSL's _hashlib
+    from maeda.cli import RunConfig, cmd_verify
+
+    assert cmd_verify(RunConfig(k_min=12, k_max=60, out_dir=tmp_path, seed=1)) == 0
+    script = (
+        "import json, sys\n"
+        "from maeda.cli import main\n"
+        f"code = main(['check', {str(tmp_path)!r}])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    code, modules = json.loads(run.stdout.splitlines()[-1])
+    assert code == 0 and "maeda.certify" in modules
+    assert not {"hashlib", "_hashlib"} & set(modules)
+
+
 def _traced_names() -> list[tuple[str, str]]:
     # the (module, attribute) pairs that perfbench/trace_child.py wraps
     spec = importlib.util.spec_from_file_location(

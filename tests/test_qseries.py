@@ -234,8 +234,8 @@ def _block_primes(d: int) -> list[int]:
     # 2, 3, the largest prime <= d, the least prime past the precision, and
     # the two largest primes below 2^20
     prec = 2 * (d + 2) + 1
-    small = [p for p in sieve_primes(d + 1)[-1:] if p > 3]
-    above = next(p for p in sieve_primes(2 * prec + 2) if p > prec)
+    small = [p for p in sieve_primes(d + 1)[-1:].tolist() if p > 3]
+    above = next(p for p in sieve_primes(2 * prec + 2).tolist() if p > prec)
     return [2, 3, *small, above, 1048571, 1048573]
 
 
