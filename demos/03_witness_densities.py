@@ -18,9 +18,9 @@ from maeda.density import (
     prime_reciprocal_bounds,
     prime_reciprocal_sum,
 )
-from maeda.cli import cmd_density
 from maeda.oracles import enumerate_cycle_patterns
 from maeda.patterns import PrimeType
+from maeda.report import cmd_density
 
 print("density table (exact and float), expected trials, bound status:\n")
 cmd_density(2, 12)

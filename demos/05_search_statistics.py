@@ -11,7 +11,8 @@ Run:  python3 demos/05_search_statistics.py
 
 from pathlib import Path
 
-from maeda.cli import RunConfig, cmd_stats, cmd_verify
+from maeda.cli import RunConfig, cmd_verify
+from maeda.report import cmd_stats
 
 base = Path("demo_out_stats")
 for mode in ("random", "consecutive"):

@@ -36,8 +36,10 @@ primes, and ``perfbench/oracle.py``, which shares no code with this package.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
+from _blake2 import blake2b
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -238,12 +240,22 @@ def _pattern_of(matrix: np.ndarray, p: int) -> Pattern | None:
 
 def _weight_seed(seed: int, k: int) -> int:
     # Stable per-weight derivation, so batch runs reproduce independently of
-    # scheduling order (Python's salted hash() would not).  hashlib is
-    # imported here, so that a check process never loads OpenSSL.
-    import hashlib
-
-    digest = hashlib.blake2b(f"{seed}:{k}".encode(), digest_size=8).digest()
+    # scheduling order (Python's salted hash() would not): the first 8 bytes
+    # of the BLAKE2b digest of "seed:k", big-endian.  BLAKE2b comes from the
+    # interpreter's own _blake2, which is what hashlib.blake2b is as well;
+    # importing hashlib would load OpenSSL's _hashlib and libcrypto, about
+    # 3.5 MB of resident memory per process (README, "Where a process's time
+    # goes")
+    digest = blake2b(f"{seed}:{k}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+def _nth_prime_bound(n: int) -> int:
+    # an integer above the n-th prime: p_n < n (ln n + ln ln n) for n >= 6
+    # (Rosser & Schoenfeld, Illinois J. Math. 6, 1962, (3.13)), and p_5 = 11
+    if n < 6:
+        return 12
+    return math.floor(n * (math.log(n) + math.log(math.log(n)))) + 1
 
 
 def verify_weight(
@@ -256,7 +268,10 @@ def verify_weight(
     """Search for witness primes certifying weight k; return the certificate.
 
     Each trial draws a prime (uniformly below ``bound`` in ``random`` mode,
-    consecutively from 2 in ``consecutive`` mode), builds T2 mod p, takes its
+    from a generator seeded by the BLAKE2b digest of ``"seed:k"``;
+    consecutively from 2 in ``consecutive`` mode, which sieves only below
+    the Rosser-Schoenfeld bound on the ``max_trials``-th prime, or below
+    ``bound`` if that is smaller), builds T2 mod p, takes its
     characteristic polynomial, skips non-squarefree reductions (they still
     count as trials), and classifies the pattern.  T2 is built mod each
     prime it tests, a block of primes at a time (1, 2, 4, .. up to
@@ -285,7 +300,7 @@ def verify_weight(
         primes: Iterable[int] = (sample_prime(rng, bound) for _ in itertools.count())
         cert_seed: int | None = seed
     else:  # a finite stream: the search may run out of primes below the bound
-        primes = map(int, sieve_primes(bound))
+        primes = map(int, sieve_primes(min(bound, _nth_prime_bound(max_trials))))
         cert_seed = None
 
     witnesses: dict[PrimeType, Witness] = {}

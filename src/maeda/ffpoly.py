@@ -49,17 +49,17 @@ product only while d^2 < 2^13, that is d <= 90; :func:`_power_traces` cuts
 it into chunks of fewer than 2^13 terms, each an exact product reduced mod
 p, and adds the chunk residues: fewer than d^2 / 2^12 + 1 of them, each
 below 2^20, so their sum is exact at any d with d^2 < 2^45.  The products
-of the gcd and of distinct-degree splitting run in int64, which sums at
-most n products below 2^40, exact while n < 2^23; polynomials here have
-degree at most the matrix size, and an n x n matrix with n >= 2^23 would
-take 512 TiB.  Newton's identities sum at most d products of residues in
-int64: at d <= 1166, below 1166 * 2^40 < 2^51, and since p > d on that
-path, below 2^60 at any d.  The paper's range, k <= 14000, has d <= 1166
-and series of length at most 2337.  Float results return to residues as
-``% p``, as ``astype(np.int64) % p``, or for whole matrices as
-x - floor(x / p) p, about twice as fast; ``np.fmod`` on float64 would be
-exact too, but measured about 30 times slower (150 ns against 4.6 ns per
-element).
+of the Hessenberg charpoly, of X^p mod f, of the gcd and of distinct-degree
+splitting run in int64, which sums at most n products below 2^40, exact
+while n < 2^23; polynomials here have degree at most the matrix size, and
+an n x n matrix with n >= 2^23 would take 512 TiB.  Newton's identities
+sum at most d products of residues in int64: at d <= 1166, below
+1166 * 2^40 < 2^51, and since p > d on that path, below 2^60 at any d.
+The paper's range, k <= 14000, has d <= 1166 and series of length at most
+2337.  Float results return to residues as ``% p``, as
+``astype(np.int64) % p``, or for whole matrices as x - floor(x / p) p,
+about twice as fast; ``np.fmod`` on float64 would be exact too, but
+measured about 30 times slower (150 ns against 4.6 ns per element).
 """
 
 from __future__ import annotations
@@ -280,7 +280,9 @@ def _charpoly_traces(h: np.ndarray, p: int) -> np.ndarray:
 
 def _charpoly_hessenberg(h: np.ndarray, p: int) -> np.ndarray:
     # h: a square int64 array of residues, overwritten.  Reduce to upper
-    # Hessenberg form, then run the leading-minor recurrence
+    # Hessenberg form, then run the leading-minor recurrence.  Every product
+    # is an int64 sum of at most d products of residues, exact (see the
+    # module docstring)
     d = h.shape[0]
     for m in range(1, d - 1):
         # rows m.. are zero left of column m-1, so only columns m-1.. change
@@ -296,26 +298,25 @@ def _charpoly_hessenberg(h: np.ndarray, p: int) -> np.ndarray:
             # eliminate all of column m-1 below row m in one similarity step:
             # rows i -= t_i * row m, then column m += sum_i t_i * column i
             h[m + 1 :, m - 1 :] = (h[m + 1 :, m - 1 :] - np.outer(t, h[m, m - 1 :])) % p
-            right = h[:, m + 1 :].astype(np.float64)
-            h[:, m] = (h[:, m] + _matmul(right, t.astype(np.float64), p)) % p
+            h[:, m] = (h[:, m] + h[:, m + 1 :] @ t) % p
     # charpoly of the leading m x m minor, by expansion along the last row:
     # P[m] = (X - h_mm) P[m-1] - sum_k h_{k,m} (prod of subdiagonal run) P[k-1],
     # where run[k-1] = h[k, k-1] ... h[m-1, m-2] grows by one factor per m
-    P = np.zeros((d + 1, d + 1))  # float64 residues; row m is P[m]
+    P = np.zeros((d + 1, d + 1), dtype=np.int64)  # row m is P[m]
     P[0, 0] = 1
     run = np.zeros(d, dtype=np.int64)
     for m in range(1, d + 1):
-        prev = P[m - 1, :m].astype(np.int64)
-        cur = np.zeros(m + 1, dtype=np.int64)
+        prev = P[m - 1, :m]
+        cur = P[m, : m + 1]
         cur[1:] = prev
         cur[:m] -= h[m - 1, m - 1] * prev
         if m > 1:
             run[m - 2] = 1
             run[: m - 1] = run[: m - 1] * h[m - 1, m - 2] % p
             coefs = h[: m - 1, m - 1] * run[: m - 1] % p
-            cur[:m] -= _matmul(coefs.astype(np.float64), P[: m - 1, :m], p)
-        P[m, : m + 1] = cur % p
-    return P[d].astype(np.int64)
+            cur[:m] -= coefs @ P[: m - 1, :m]
+        cur %= p
+    return P[d].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -425,19 +426,26 @@ def _mulmod(a: np.ndarray, b: np.ndarray, rows: np.ndarray, p: int) -> np.ndarra
 
 def _x_power(e: int, rows: np.ndarray, p: int) -> np.ndarray:
     # X^e mod the monic f behind ``rows``, e >= 1, by left-to-right binary
-    # powering: a square per bit, and a set bit multiplies by X, a shift
-    # whose one term X^n is reduced by rows[0] = X^n mod f
+    # powering: per bit, h -> h^2, or X h^2 for a set bit, whose terms from
+    # X^n on are reduced in one int64 product with the table of
+    # X^n..X^(2n-1) mod f: rows, and X^(2n-1) = X X^(2n-2) one shift further
     n = rows.shape[1]
-    top_row = rows[0].astype(np.int64)
+    table = np.empty((n, n), dtype=np.int64)
+    table[: n - 1] = rows
+    table[n - 1, 0] = 0
+    table[n - 1, 1:] = table[n - 2, :-1]
+    table[n - 1] = (table[n - 1] + table[n - 2, -1] * table[0]) % p
     h = np.zeros(n, dtype=np.int64)
     h[1] = 1
+    shifted = np.zeros(n + 1, dtype=np.int64)  # X h, for a set bit
     for bit in bin(e)[3:]:
-        h = _mulmod(h, h, rows, p)
         if bit == "1":
-            top = h[-1]
-            h = np.concatenate(([0], h[:-1]))
-            if top:
-                h = (h + top * top_row) % p
+            shifted[1:] = h
+            c = np.convolve(h, shifted)
+        else:
+            c = np.convolve(h, h)
+        c %= p
+        h = (c[:n] + c[n:] @ table[: len(c) - n]) % p
     return h
 
 

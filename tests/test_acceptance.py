@@ -20,11 +20,8 @@ from maeda.cli import (
     RunConfig,
     certificate_path,
     cmd_check,
-    cmd_stats,
     cmd_verify,
     load_certificates,
-    ratio_rows,
-    ratio_summary,
     read_certificate,
     write_certificate,
 )
@@ -55,6 +52,7 @@ from maeda.oracles import (
 )
 from maeda.patterns import PrimeType
 from maeda.primes import sieve_primes
+from maeda.report import cmd_stats, ratio_rows, ratio_summary
 
 pytestmark = pytest.mark.slow
 

@@ -359,6 +359,48 @@ def test_search_builds_each_drawn_prime_once_in_doubling_blocks(built_blocks, k,
     assert trials <= len(built) < trials + sizes[-1]
 
 
+def test_weight_seed_is_the_blake2b_digest_of_seed_and_weight():
+    # certify takes blake2b from _blake2, not from hashlib (which would
+    # load OpenSSL); the per-weight seeds, and so every draw, stay those of
+    # hashlib.blake2b
+    import hashlib
+
+    for seed in (0, 1, 2, 7, -1, -12345, 2**31 - 1, 2**63, 10**30):
+        for k in (0, 12, 14, 48, 200, 1200, 12000, MAX_WEIGHT):
+            digest = hashlib.blake2b(f"{seed}:{k}".encode(), digest_size=8).digest()
+            assert certify._weight_seed(seed, k) == int.from_bytes(digest, "big"), (seed, k)
+
+
+def test_rosser_bound_exceeds_every_prime_below_2_20():
+    primes = sieve_primes(1 << 20).tolist()
+    bounds = [certify._nth_prime_bound(n) for n in range(1, len(primes) + 1)]
+    assert all(p < bound for p, bound in zip(primes, bounds))
+    assert certify._nth_prime_bound(0) == 12 and certify._nth_prime_bound(-3) == 12
+
+
+@pytest.mark.parametrize("bound", [3, 60, 1 << 20])
+@pytest.mark.parametrize("max_trials", [1, 5, 6, None])  # None: 100 d = 1600
+def test_consecutive_draws_are_a_prefix_of_the_full_sieve(
+    built_blocks, monkeypatch, bound, max_trials
+):
+    # consecutive mode sieves only below a bound on its max_trials-th
+    # prime; that shorter stream starts with every prime it can draw
+    sieved: list[np.ndarray] = []
+    monkeypatch.setattr(certify, "sieve_primes", lambda b: sieved.append(sieve_primes(b)) or sieved[-1])
+    everything = sieve_primes(bound).tolist()
+    cap = 100 * dim_cusp_forms(200) if max_trials is None else max_trials
+    try:
+        cert = verify_weight(200, "consecutive", bound=bound, max_trials=max_trials)
+        trials = max(cert.trials_total.values())
+    except SearchExhausted as exc:
+        trials = exc.trials
+        assert trials == min(cap, len(everything))
+    [stream] = sieved
+    assert stream.tolist()[:cap] == everything[:cap]
+    built = [p for block in built_blocks for p in block]
+    assert trials <= len(built) and built == everything[: len(built)]
+
+
 def test_check_certificate_builds_the_distinct_valid_primes_in_one_block(built_blocks, cert48):
     cert = cert48[1]  # kinds III and IV share prime 298201
     witnesses = dict(cert.witnesses)

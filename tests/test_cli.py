@@ -25,16 +25,13 @@ from maeda.cli import (
     certificate_path,
     certificate_to_json,
     cmd_check,
-    cmd_density,
-    cmd_stats,
     cmd_verify,
     main,
-    ratio_rows,
-    ratio_summary,
     read_certificate,
     write_certificate,
 )
 from maeda.patterns import PrimeType
+from maeda.report import cmd_density, cmd_stats, ratio_rows, ratio_summary
 
 from test_certify import find_non_witness_prime
 

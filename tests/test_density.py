@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from maeda.certify import classify
-from maeda.cli import cmd_density
 from maeda.density import (
     check_density_bounds,
     cycle_pattern_count,
@@ -23,6 +22,7 @@ from maeda.density import (
 )
 from maeda.oracles import all_patterns, enumerate_cycle_patterns
 from maeda.patterns import Pattern, PrimeType
+from maeda.report import cmd_density
 
 T = PrimeType
 

@@ -35,7 +35,9 @@ from maeda.ffpoly import (
     _matmul_residues,
     _mul,
     _power_traces,
+    _reduction_rows,
     _squarefree,
+    _x_power,
     charpoly_mod_p,
     distinct_degree_split,
     factorization_pattern,
@@ -534,6 +536,37 @@ def test_frobenius_rows_at_block_boundaries(n):
         assert rows.dtype == frob.dtype == np.float64
         assert rows.astype(np.int64).tolist() == expected_rows, (n, p)
         assert frob.astype(np.int64).tolist() == expected_frob, (n, p)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 16])
+def test_x_power_matches_binary_powering_in_python_ints(n):
+    # X^e mod f, every bit pattern of e to 2^7 and the largest modulus, and
+    # the worst case for exactness, every coefficient p - 1, against
+    # schoolbook products and long division
+    p = 1048573
+    rng = random.Random(n)
+    for f in ([p - 1] * n + [1], [rng.randrange(p) for _ in range(n)] + [1]):
+        rows = _reduction_rows(np.array(f, dtype=np.int64), p)
+        for e in [*range(1, 129), p, p - 1]:
+            expected, square, rest = [1], [0, 1], e
+            while rest:
+                if rest & 1:
+                    expected = poly_divmod(poly_mul(expected, square, p), f, p)[1]
+                square = poly_divmod(poly_mul(square, square, p), f, p)[1]
+                rest >>= 1
+            power = _x_power(e, rows, p)
+            assert power.dtype == np.int64
+            assert power.tolist() == expected + [0] * (n - len(expected)), (n, e)
+
+
+def test_hessenberg_charpoly_is_exact_at_the_largest_entries():
+    # the int64 column updates and leading-minor recurrence at d = 300 and
+    # the largest modulus: every entry p - 1, and random entries near p,
+    # against the trace charpoly
+    p, d = 1048573, 300
+    rng = np.random.default_rng(300)
+    for m in (np.full((d, d), p - 1, dtype=np.int64), rng.integers(p - 1000, p, (d, d))):
+        assert _charpoly_hessenberg(m.copy(), p).tolist() == _charpoly_traces(m, p).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -48,27 +48,34 @@ def test_verify_and_check_load_neither_density_nor_statistics(tmp_path):
     codes, modules = json.loads(run.stdout.splitlines()[-1])
     assert codes == [0, 0]
     assert "maeda.certify" in modules
-    assert not {"maeda.density", "statistics", "fractions"} & set(modules)
+    assert not {"maeda.report", "maeda.density", "statistics", "fractions"} & set(modules)
 
 
 def test_check_loads_no_hashlib(tmp_path):
-    # only verify derives per-weight seeds with blake2b; a check process
-    # never loads OpenSSL's _hashlib
-    from maeda.cli import RunConfig, cmd_verify
-
-    assert cmd_verify(RunConfig(k_min=12, k_max=60, out_dir=tmp_path, seed=1)) == 0
-    script = (
-        "import json, sys\n"
-        "from maeda.cli import main\n"
-        f"code = main(['check', {str(tmp_path)!r}])\n"
-        "print(json.dumps([code, sorted(sys.modules)]))\n"
-    )
+    # verify derives per-weight seeds with the interpreter's own _blake2, so
+    # no verify process, in either mode, and no check process loads hashlib
+    # or OpenSSL's _hashlib
+    commands = [
+        ["verify", "--from", "12", "--to", "60", "--seed", "1", "--jobs", "1",
+         "--out", str(tmp_path / "random")],
+        ["verify", "--from", "48", "--to", "50", "--mode", "consecutive", "--jobs", "1",
+         "--out", str(tmp_path / "consecutive")],
+        ["check", str(tmp_path / "random")],
+        ["check", str(tmp_path / "consecutive")],
+    ]
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}, check=True)
-    code, modules = json.loads(run.stdout.splitlines()[-1])
-    assert code == 0 and "maeda.certify" in modules
-    assert not {"hashlib", "_hashlib"} & set(modules)
+    for argv in commands:
+        script = (
+            "import json, sys\n"
+            "from maeda.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n"
+        )
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}, check=True)
+        code, modules = json.loads(run.stdout.splitlines()[-1])
+        assert code == 0 and "maeda.certify" in modules, argv
+        assert not {"hashlib", "_hashlib"} & set(modules), argv
 
 
 def _traced_names() -> list[tuple[str, str]]:
