@@ -23,11 +23,11 @@ one prime may witness several kinds at once.  The resulting
 polynomials, with no searching.
 
 Search and recheck build T2 the same way, mod each prime they test
-(:func:`~maeda.hecke.hecke_matrix_T2`), a block of primes per call: the
-search draws blocks of 1, 2, 4, .. primes, at most
-:func:`~maeda.qseries.max_block`, and the recheck takes its distinct witness
-primes at once.  The charpoly, squarefree test and pattern then run one
-prime at a time, in order, so blocks change no result and no trial count.
+(:func:`~maeda.hecke.hecke_matrix_T2`), :func:`~maeda.qseries.max_block`
+primes per call from the first draw on (fewer where the primes run out),
+so the recheck takes its distinct witness primes at once when they fit.
+The charpoly, squarefree test and pattern then run one prime at a time, in
+order, so blocks change no result and no trial count.
 The independent paths are the tests,
 which hold that builder to :mod:`maeda.oracles` over a sweep of weights and
 primes, and ``perfbench/oracle.py``, which shares no code with this package.
@@ -219,16 +219,14 @@ def sample_prime(rng: random.Random, bound: int) -> int:
     return int(primes[rng.randrange(len(primes))])
 
 
-def _built(k: int, primes: Iterable[int], size: int) -> Iterator[tuple[int, np.ndarray]]:
-    # (p, T2 mod p) for each of the primes in turn, built a block at a time:
-    # the first block holds `size` primes and each later one twice as many,
-    # at most max_block(k).  A block is drawn only when the one before is
-    # used up, so no prime is built past where the caller stops
+def _built(k: int, primes: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
+    # (p, T2 mod p) for each of the primes in turn, built max_block(k) at a
+    # time (fewer in the last block).  A block is drawn only when the one
+    # before is used up, so fewer than one block is built past where the
+    # caller stops
     primes = iter(primes)
-    cap = max_block(k)
-    while block := list(itertools.islice(primes, min(size, cap))):
+    while block := list(itertools.islice(primes, max_block(k))):
         yield from zip(block, hecke_matrix_T2(k, block))
-        size *= 2
 
 
 def _pattern_of(matrix: np.ndarray, p: int) -> Pattern | None:
@@ -274,10 +272,10 @@ def verify_weight(
     ``bound`` if that is smaller), builds T2 mod p, takes its
     characteristic polynomial, skips non-squarefree reductions (they still
     count as trials), and classifies the pattern.  T2 is built mod each
-    prime it tests, a block of primes at a time (1, 2, 4, .. up to
-    :func:`~maeda.qseries.max_block`); no block reaches past ``max_trials``
-    or the primes below ``bound``, and the rest of a trial runs prime by
-    prime in the order drawn.  The search stops once
+    prime it tests, :func:`~maeda.qseries.max_block` primes at a time from
+    the first draw on; no block reaches past ``max_trials`` or the primes
+    below ``bound``, and the rest of a trial runs prime by prime in the
+    order drawn.  The search stops once
     every required kind has a witness; ``max_trials`` (default 100 * d) turns
     a stuck search into a loud :class:`SearchExhausted` rather than a hang.
 
@@ -305,7 +303,7 @@ def verify_weight(
 
     witnesses: dict[PrimeType, Witness] = {}
     trials = 0
-    built = _built(k, itertools.islice(primes, max_trials), 1)
+    built = _built(k, itertools.islice(primes, max_trials))
     for trials, (p, matrix) in enumerate(built, start=1):
         pattern = _pattern_of(matrix, p)
         if pattern is not None:
@@ -380,7 +378,7 @@ def check_certificate(cert: Certificate) -> CheckResult:
 
     distinct = list(dict.fromkeys(witness.prime for _, _, witness in valid))
     patterns = {  # None: reduction not squarefree
-        p: _pattern_of(matrix, p) for p, matrix in _built(cert.weight, distinct, len(distinct))
+        p: _pattern_of(matrix, p) for p, matrix in _built(cert.weight, distinct)
     }
     for where, kind, witness in valid:
         pattern = patterns[witness.prime]

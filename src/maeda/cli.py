@@ -46,6 +46,7 @@ from .certify import (
     SearchExhausted,
     Witness,
     check_certificate,
+    header_error,
     rule_errors,
     verify_weight,
 )
@@ -345,7 +346,11 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
 # check
 
 def cmd_check(directory: Path) -> int:
-    """Recheck every certificate in a directory; 0 iff all pass."""
+    """Recheck every certificate in a directory; 0 iff all pass.
+
+    A certificate passes only in the file named for the weight it holds,
+    ``cert_<weight>.json``: one copied over another weight's file fails.
+    """
     directory = Path(directory)
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
@@ -361,16 +366,19 @@ def cmd_check(directory: Path) -> int:
             failures += 1
             continue
         try:
-            result = check_certificate(cert)
+            reasons = list(check_certificate(cert).reasons)
         except ValueError as exc:  # e.g. a weight too large to build a basis for
-            print(f"{path.name}: FAIL ({exc})")
+            reasons = [str(exc)]
+        expected = certificate_path(directory, cert.weight).name
+        if path.name != expected and header_error(cert) is None:
+            # filed under another weight's name; a refused header keeps its
+            # one reason, as in check_certificate
+            reasons.append(f"file name is not {expected}")
+        if reasons:
+            print(f"{path.name}: FAIL ({'; '.join(reasons)})")
             failures += 1
-            continue
-        if result:
-            print(f"{path.name}: ok (k={cert.weight}, d={cert.dimension})")
         else:
-            print(f"{path.name}: FAIL ({'; '.join(result.reasons)})")
-            failures += 1
+            print(f"{path.name}: ok (k={cert.weight}, d={cert.dimension})")
     print(f"{len(entries) - failures}/{len(entries)} certificates pass")
     return 1 if failures else 0
 

@@ -59,12 +59,16 @@ MAX_TABLE_PREC = 6000
 #   d = 33: 0.71-0.93 / 0.86-1.47, 0.66-0.70, 0.39-0.67, 0.32-0.36, 0.25-0.28
 #   d = 49: 0.99-1.48 / 1.54-1.84, 0.95-1.18, 0.65-0.87, 0.60-0.65, 0.52-0.56
 #   d = 100: 2.72-3.58 / 2.82-3.94, 2.57-2.92, 1.91-2.32, 1.78-2.20, 1.66-2.21
-# A search builds up to one block past its last trial, and the gain past
-# B = 8 is small, so a block holds at most MAX_BLOCK primes, and at most
-# MAX_BLOCK_FLOATS floats (1 MiB) per Toeplitz matrix: 16 primes up to
-# d = 42, 12 at d = 49, 3 at d = 100 and 1 from d = 126.  At those sizes one
-# build's traced peak is 1.7 MB at d = 49 and 1.6 MB at d = 100, against
-# 0.2 and 0.8 MB one prime at a time
+# A block of 16 costs 2-5 times a block of one at d = 16 to 33, so a search
+# builds full blocks from its first draw, and pays with up to B - 1 primes
+# past its last trial: over sweep-random's 34 weights (d 1 to 50, 308
+# trials, seed 1) it builds 674 primes in 44 blocks, 86-91 ms in one
+# process, where blocks doubling from one prime built 405 in 100, 125-140
+# ms.  The gain past B = 8 is small, so a block holds at most MAX_BLOCK
+# primes, and at most MAX_BLOCK_FLOATS floats (1 MiB) per Toeplitz matrix:
+# 16 primes up to d = 42, 12 at d = 49, 3 at d = 100 and 1 from d = 126.
+# At those sizes one build's traced peak is 1.7 MB at d = 49 and 1.6 MB at
+# d = 100, against 0.2 and 0.8 MB one prime at a time
 MAX_BLOCK_FLOATS = 1 << 17
 MAX_BLOCK = 16
 

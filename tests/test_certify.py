@@ -324,31 +324,37 @@ def built_blocks(monkeypatch) -> list[list[int]]:
 
 
 @pytest.mark.parametrize("kwargs, trials, sizes, message", [
-    ({"bound": 60}, 17, [1, 2, 4, 8, 2], "no witness of kind I, II, III within 17 trials"),
-    ({"max_trials": 20}, 20, [1, 2, 4, 8, 5], "no witness of kind I, II, III within 20 trials"),
-    ({"max_trials": 30}, 30, [1, 2, 4, 8, 15], "no witness of kind I, III within 30 trials"),
+    ({"bound": 60}, 17, [16, 1], "no witness of kind I, II, III within 17 trials"),
+    ({"max_trials": 20}, 20, [16, 4], "no witness of kind I, II, III within 20 trials"),
+    ({"max_trials": 30}, 30, [16, 14], "no witness of kind I, III within 30 trials"),
+    ({"k": 1200, "max_trials": 7}, 7, [3, 3, 1], "no witness of kind I, II, III within 7 trials"),
+    ({"k": 1512, "max_trials": 3}, 3, [1, 1, 1], "no witness of kind I, II, III within 3 trials"),
 ])
 def test_search_builds_no_prime_past_the_trial_cap_or_the_stream(
     built_blocks, kwargs, trials, sizes, message
 ):
     # the last block is cut at the end of the primes below the bound, or
-    # at max_trials; the message is the one the search gave before blocks
-    with pytest.raises(SearchExhausted, match=f"^weight 200: {message}$"):
-        verify_weight(200, "consecutive", **kwargs)
+    # at max_trials; the message is the one the search gave before blocks.
+    # max_block is 16 at k = 200, 3 at k = 1200 and 1 at k = 1512
+    kwargs = {"k": 200, "mode": "consecutive", **kwargs}
+    with pytest.raises(SearchExhausted, match=f"^weight {kwargs['k']}: {message}$"):
+        verify_weight(**kwargs)
     assert [len(block) for block in built_blocks] == sizes
     assert [p for block in built_blocks for p in block] == sieve_primes(1 << 20)[:trials].tolist()
 
 
 @pytest.mark.parametrize("k, mode", [(12, "random"), (48, "random"), (300, "random"),
                                      (200, "consecutive")])
-def test_search_builds_each_drawn_prime_once_in_doubling_blocks(built_blocks, k, mode):
-    # blocks of 1, 2, 4, .. primes up to max_block(k), in the order they are
-    # drawn; the last block is the first that reaches the trial that ends
-    # the search, so fewer than one block is built past it
+def test_search_builds_each_drawn_prime_once_in_full_blocks(built_blocks, k, mode):
+    # blocks of max_block(k) primes from the first draw on (fewer only where
+    # the max_trials = 100 d draws run out), in the order they are drawn;
+    # the last block is the first that reaches the trial that ends the
+    # search, so fewer than one block is built past it
     cert = verify_weight(k, mode=mode, seed=1)
     trials = max(cert.trials_total.values())
     sizes = [len(block) for block in built_blocks]
-    assert sizes == [min(2**i, max_block(k)) for i in range(len(sizes))]
+    left = [100 * dim_cusp_forms(k) - sum(sizes[:i]) for i in range(len(sizes))]
+    assert sizes == [min(max_block(k), n) for n in left]
     built = [p for block in built_blocks for p in block]
     if mode == "consecutive":
         drawn = sieve_primes(1 << 20)[: len(built)].tolist()
@@ -356,7 +362,7 @@ def test_search_builds_each_drawn_prime_once_in_doubling_blocks(built_blocks, k,
         rng = random.Random(certify._weight_seed(1, k))
         drawn = [sample_prime(rng, 1 << 20) for _ in built]
     assert built == drawn and len(set(built)) == len(built)
-    assert trials <= len(built) < trials + sizes[-1]
+    assert trials <= len(built) < trials + max_block(k)
 
 
 def test_weight_seed_is_the_blake2b_digest_of_seed_and_weight():

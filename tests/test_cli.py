@@ -376,6 +376,29 @@ def test_cmd_check_flags_tampered_certificate(small_run, tmp_path, capsys):
     assert "cert_48.json: FAIL" in out and "pattern mismatch" in out
 
 
+def test_cmd_check_fails_a_certificate_filed_under_another_weight(small_run, tmp_path,
+                                                                   capsys):
+    # cert_32.json copied over cert_30.json passed as "ok (k=32, d=2)"
+    run = tmp_path / "run"
+    run.mkdir()
+    for k in (24, 32):
+        (run / f"cert_{k}.json").write_bytes(certificate_path(small_run, k).read_bytes())
+    (run / "cert_30.json").write_bytes(certificate_path(small_run, 32).read_bytes())
+    assert cmd_check(run) == 1
+    out = capsys.readouterr().out
+    assert "cert_30.json: FAIL (file name is not cert_32.json)\n" in out
+    assert "cert_24.json: ok" in out and "cert_32.json: ok (k=32, d=2)" in out
+    assert "2/3 certificates pass" in out
+
+    # the name reason comes after the recheck's own, which keep their place
+    blob = json.loads(certificate_path(small_run, 32).read_text())
+    blob["mode"] = "bogus"
+    (run / "cert_30.json").write_text(json.dumps(blob))
+    assert cmd_check(run) == 1
+    assert ("cert_30.json: FAIL (unknown mode 'bogus'; file name is not cert_32.json)\n"
+            in capsys.readouterr().out)
+
+
 def test_cmd_check_reports_malformed_file_but_continues(small_run, tmp_path, capsys):
     mixed = tmp_path / "mixed"
     mixed.mkdir()
