@@ -192,6 +192,13 @@ def read_certificate(path: Path) -> Certificate:
     return certificate_from_json(Path(path).read_text(encoding="utf-8"))
 
 
+def misfiled(path: Path, cert: Certificate) -> str | None:
+    # why cert's file is not cert_<weight>.json, or None; a refused header keeps its one reason
+    expected = certificate_path(path.parent, cert.weight).name
+    filed = path.name == expected or header_error(cert) is not None
+    return None if filed else f"file name is not {expected}"
+
+
 def load_certificates(directory: Path) -> list[tuple[Path, Certificate | ValueError]]:
     """All cert_*.json files in a directory, parsed or their parse error.
 
@@ -369,11 +376,8 @@ def cmd_check(directory: Path) -> int:
             reasons = list(check_certificate(cert).reasons)
         except ValueError as exc:  # e.g. a weight too large to build a basis for
             reasons = [str(exc)]
-        expected = certificate_path(directory, cert.weight).name
-        if path.name != expected and header_error(cert) is None:
-            # filed under another weight's name; a refused header keeps its
-            # one reason, as in check_certificate
-            reasons.append(f"file name is not {expected}")
+        if error := misfiled(path, cert):  # after the recheck's own reasons
+            reasons.append(error)
         if reasons:
             print(f"{path.name}: FAIL ({'; '.join(reasons)})")
             failures += 1

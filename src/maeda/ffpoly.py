@@ -502,9 +502,11 @@ def _squarefree(p: int, coeffs: bytes) -> tuple[bool, tuple[int, ...] | None]:
 
 
 def _require_monic_squarefree(f: np.ndarray, p: int) -> None:
+    # f is int64, and not zero once monic, so the cache is read directly:
+    # every call of the public is_squarefree is then a caller's own
     if not len(f) or f[-1] != 1:
         raise ValueError("distinct-degree splitting requires a monic polynomial")
-    if not is_squarefree(f, p):
+    if not _squarefree(p, f.tobytes())[0]:
         raise ValueError("distinct-degree splitting requires a squarefree polynomial")
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qseries import _block, dim_cusp_forms, miller_basis
+from .qseries import dim_cusp_forms, miller_basis
 
 __all__ = ["dim_cusp_forms", "hecke_matrix_T2"]
 
@@ -30,11 +30,11 @@ def hecke_matrix_T2(k: int, p) -> np.ndarray:
     before any work, unless every p is a prime below 2^20 and k an even
     weight of at least 12.
     """
-    primes, single = _block(p)
-    basis = miller_basis(k, primes)
-    d = basis.shape[1]
-    entries = basis[:, :, 2 : 2 * d + 1 : 2].copy()
-    twos = np.array([pow(2, k - 1, q) for q in primes.tolist()], dtype=np.int64)[:, None, None]
-    entries[:, :, 1::2] += twos * basis[:, :, 1 : d // 2 + 1]
-    entries %= primes[:, None, None]
-    return entries[0] if single else entries
+    basis = miller_basis(k, p)  # which checks p and k first
+    primes = np.asarray(p, dtype=np.int64)[..., None, None]  # a batch axis iff basis has one
+    d = basis.shape[-2]
+    entries = basis[..., 2 : 2 * d + 1 : 2].copy()
+    twos = np.array([pow(2, k - 1, q) for q in primes.ravel().tolist()], dtype=np.int64)
+    entries[..., 1::2] += twos.reshape(primes.shape) * basis[..., 1 : d // 2 + 1]
+    entries %= primes
+    return entries

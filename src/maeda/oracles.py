@@ -20,7 +20,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .patterns import Pattern
-from .qseries import _basis_size, _weight_exponents
+from .qseries import _shape
 
 
 class PrecisionError(IndexError):
@@ -200,12 +200,11 @@ def spanning_set(k: int, prec: int) -> list[QSeries]:
     a weight-k cusp form with expansion q^i + higher order, so the set spans
     the cusp space and is triangular with unit leading coefficients.
     """
-    d, _ = _basis_size(k)
+    d, _, b, alpha_d = _shape(k)
     if prec < 1:
         raise ValueError("precision must be positive")
     if d == 0:
         return []
-    b, alpha_d = _weight_exponents(k)
     e4 = eisenstein(4, prec)
     e4cube = series_pow(e4, 3)
     # tails[i-1] = E6^b E4^(alpha_i); alpha_i decreases by 3 per step of i.
@@ -241,7 +240,7 @@ def miller_basis(k: int) -> list[QSeries]:
     Each stores 2(d+2)+1 coefficients, the precision of
     :func:`maeda.qseries.miller_basis`.
     """
-    d, prec = _basis_size(k)
+    d, prec = _shape(k)[:2]
     rows = [list(g.coeffs) for g in spanning_set(k, prec)]
     for i in range(d):
         fi = rows[i]
@@ -340,7 +339,7 @@ def hecke_matrix_T2_spanning(k: int) -> IntMatrix:
     triangular system that the leading terms q^i of the products impose.
     The two matrices are similar, so they share a characteristic polynomial.
     """
-    d, prec = _basis_size(k)
+    d, prec = _shape(k)[:2]
     if d == 0:
         return IntMatrix(())
     gs = spanning_set(k, prec)

@@ -69,10 +69,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# a T2 build checks its block of moduli at each of its three layers
-# (hecke_matrix_T2, miller_basis, spanning_set), each a public entry point;
-# a modulus that passed is remembered, and one that fails raises every time
-@functools.lru_cache(maxsize=64)
 def check_modulus(p: int) -> None:
     """Raise ValueError unless p is a prime below :data:`MAX_MODULUS`."""
     if not 2 <= p < MAX_MODULUS:

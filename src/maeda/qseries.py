@@ -4,8 +4,9 @@ A q-expansion sum(a_n q^n, n < prec) mod p is an array of residues: int64
 where it leaves this module, float64 while products are taken.
 :func:`spanning_set` builds the cusp forms g_i = Delta^i E6^b E4^(alpha_i),
 i = 1 .. d, from E4 = 1 + 240 sum sigma_3(n) q^n, E6 = 1 - 504 sum
-sigma_5(n) q^n and Delta = q prod (1 - q^n)^24, using g_(i+1) = g_i w with
-w = Delta / E4^3 (one Newton inverse per prime).
+sigma_5(n) q^n and Delta = q (prod (1 - q^n)^3)^8, the cube by Jacobi's
+identity prod (1 - q^n)^3 = sum_(m>=0) (-1)^m (2m+1) q^(m(m+1)/2), using
+g_(i+1) = g_i w with w = Delta / E4^3 (one Newton inverse per prime).
 :func:`miller_basis` eliminates them, with unit pivots and no division, to
 the unique echelon basis f_i = q^i + O(q^(d+1)): the exact integer basis of
 :mod:`maeda.oracles`, reduced mod p.
@@ -19,9 +20,9 @@ per prime.
 
 The precision is fixed by k: 2(d+2)+1 coefficients, one guard term past the
 2(d+2) the Hecke action reads.  The tables sigma_3(n), sigma_5(n) and
-prod (1 - q^n) do not depend on p and are built once per precision, exactly:
-sigma_5(n) < 1.04 n^5 is below 2^63 only for n < 6168, so they refuse a
-precision above :data:`MAX_TABLE_PREC` = 6000.  That is the one bound
+prod (1 - q^n)^3 do not depend on p and are built once per precision,
+exactly: sigma_5(n) < 1.04 n^5 is below 2^63 only for n < 6168, so they
+refuse a precision above :data:`MAX_TABLE_PREC` = 6000.  That is the one bound
 enforced here, and it implies the exactness bound of :mod:`maeda.ffpoly`:
 series products, vector-matrix and matrix products all run in float64,
 exact while they sum fewer than 2^13 products of residues
@@ -86,15 +87,16 @@ def dim_cusp_forms(k: int) -> int:
     return max(d, 0)
 
 
-def _weight_exponents(k: int) -> tuple[int, int]:
-    # Exponents (b, alpha_d) with k = 12d + 4*alpha_d + 6b; alpha_d in {0,1,2}.
+def _shape(k: int) -> tuple[int, int, int, int]:
+    # (d, prec, b, alpha_d) of weight k: d rows of prec = 2(d+2)+1
+    # coefficients, and k = 12d + 4 alpha_d + 6b with alpha_d in {0,1,2}
+    if k % 2 or k < 12:
+        raise ValueError(f"weight must be even and at least 12, got {k}")
     d = dim_cusp_forms(k)
     b = (k // 2) % 2
-    num = k - 12 * d - 6 * b
-    assert num % 4 == 0 and num >= 0, f"exponent bookkeeping broke at k={k}"
-    alpha_d = num // 4
-    assert alpha_d in (0, 1, 2)
-    return b, alpha_d
+    alpha_d, rest = divmod(k - 12 * d - 6 * b, 4)
+    assert rest == 0 and alpha_d in (0, 1, 2), f"exponent bookkeeping broke at k={k}"
+    return d, 2 * (d + 2) + 1, b, alpha_d
 
 
 def max_block(k: int) -> int:
@@ -105,38 +107,26 @@ def max_block(k: int) -> int:
     :data:`MAX_BLOCK`, but at least 1.  Raises ValueError where k is not an
     even weight of at least 12.
     """
-    prec = _basis_size(k)[1]
+    prec = _shape(k)[1]
     return max(1, min(MAX_BLOCK, MAX_BLOCK_FLOATS // prec**2))
-
-
-def _basis_size(k: int) -> tuple[int, int]:
-    # (d, prec) of the Miller basis of weight k
-    if k % 2 or k < 12:
-        raise ValueError(f"weight must be even and at least 12, got {k}")
-    d = dim_cusp_forms(k)
-    return d, 2 * (d + 2) + 1
 
 
 @functools.lru_cache(maxsize=4)
 def _tables(prec: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # sigma_3(n), sigma_5(n) and prod (1 - q^n) for n < prec, exact int64
+    # sigma_3(n), sigma_5(n) and prod (1 - q^n)^3 for n < prec, exact int64
     if prec > MAX_TABLE_PREC:
         raise ValueError(f"precision {prec} above {MAX_TABLE_PREC}: sigma_5 would overflow int64")
-    sigma3 = np.zeros(prec, dtype=np.int64)
-    sigma5 = np.zeros(prec, dtype=np.int64)
+    tables = np.zeros((3, prec), dtype=np.int64)
+    sigma3, sigma5, cube = tables
     for n in range(1, prec):
         sigma3[n::n] += n**3
         sigma5[n::n] += n**5
-    # pentagonal numbers: 1 + sum_{j>=1} (-1)^j (q^{j(3j-1)/2} + q^{j(3j+1)/2})
-    euler = np.zeros(prec, dtype=np.int64)
-    euler[0] = 1
-    for j in range(1, math.isqrt(prec) + 1):  # j(3j-1)/2 >= j^2 >= prec beyond
-        for n in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
-            if n < prec:
-                euler[n] = (-1) ** j
-    for table in (sigma3, sigma5, euler):
-        table.flags.writeable = False  # shared by every prime at this precision
-    return sigma3, sigma5, euler
+    # Jacobi: prod (1 - q^n)^3 = sum_{m>=0} (-1)^m (2m+1) q^{m(m+1)/2}
+    for m in range(math.isqrt(2 * prec) + 1):  # m(m+1)/2 > m^2/2 > prec beyond
+        if (n := m * (m + 1) // 2) < prec:
+            cube[n] = (-1) ** m * (2 * m + 1)
+    tables.flags.writeable = False  # shared by every prime at this precision
+    return tuple(tables)  # read-only views of its rows
 
 
 def _pow(a: np.ndarray, e: int, p: np.ndarray) -> np.ndarray:
@@ -156,9 +146,8 @@ def _pow(a: np.ndarray, e: int, p: np.ndarray) -> np.ndarray:
 
 
 def _block(p) -> tuple[np.ndarray, bool]:
-    # the moduli of a call to spanning_set, miller_basis or
-    # hecke.hecke_matrix_T2 as a 1-d int64 array, each checked, and whether p
-    # was one prime rather than a sequence
+    # the checked moduli as a 1-d int64 array, and whether p was one prime:
+    # the one check of a T2 build, after which its later steps may read p
     if np.ndim(p) > 1:
         raise ValueError("moduli must be one prime or a 1-d sequence of primes")
     single = np.ndim(p) == 0
@@ -180,27 +169,26 @@ def spanning_set(k: int, p) -> np.ndarray:
     even weight of at least 12, and prec at most :data:`MAX_TABLE_PREC`.
     """
     primes, single = _block(p)
-    d, prec = _basis_size(k)
-    sigma3, sigma5, euler = _tables(prec)
+    d, prec, b, alpha_d = _shape(k)
+    sigma3, sigma5, cube = _tables(prec)
     rows = np.zeros((len(primes), d, prec))  # float64 residues, for the products below
     if d:
-        _fill_rows(rows, k, primes, sigma3, sigma5, euler)
+        _fill_rows(rows, b, alpha_d, primes, sigma3, sigma5, cube)
     rows = rows.astype(np.int64)
     return rows[0] if single else rows
 
 
-def _fill_rows(rows: np.ndarray, k: int, primes: np.ndarray, sigma3: np.ndarray,
-               sigma5: np.ndarray, euler: np.ndarray) -> None:
+def _fill_rows(rows: np.ndarray, b: int, alpha_d: int, primes: np.ndarray,
+               sigma3: np.ndarray, sigma5: np.ndarray, cube: np.ndarray) -> None:
     # rows[r, i-1] = g_i mod primes[r], as float64 residues
     d, prec = rows.shape[1:]
-    b, alpha_d = _weight_exponents(k)
     column = primes[:, None]  # one row per prime, against the series' columns
     e4 = (240 * (sigma3 % column) % column).astype(np.float64)
     e6 = (-504 * (sigma5 % column) % column).astype(np.float64)
     e4[:, 0] = e6[:, 0] = 1
     p = column.astype(np.float64)
     dl = np.zeros(e4.shape)
-    dl[:, 1:] = _pow((euler % column).astype(np.float64), 24, p)[:, :-1]
+    dl[:, 1:] = _pow((cube % column).astype(np.float64), 8, p)[:, :-1]
     first = _mul(dl, _pow(e4, alpha_d + 3 * (d - 1), p), p)
     rows[:, 0] = _mul(first, e6, p) if b else first
     w = _mul(dl, _inverse(_pow(e4, 3, p), p), p)
@@ -233,19 +221,18 @@ def miller_basis(k: int, p) -> np.ndarray:
     g_i minus its coefficients at q^(i+1) .. q^d times the finished rows
     below, one batched vector-matrix product per row for the whole block.
     """
-    primes, single = _block(p)
-    done = spanning_set(k, primes).astype(np.float64)
-    primes = primes.astype(np.float64)[:, None, None]
-    d = done.shape[1]  # rows i+1.. are finished when row i starts
+    done = spanning_set(k, p).astype(np.float64)  # which checks p and k first
+    primes = np.asarray(p, dtype=np.float64)[..., None, None]  # a batch axis iff done has one
+    d = done.shape[-2]  # rows i+1.. are finished when row i starts
     for i in range(d - 2, -1, -1):
         # row i, 0-based, is f = g - c_(i+2) f_(i+2) - .. - c_d f_d, c_j the
         # coefficient of g = g_(i+1) at q^j: one product of (1, p - c_(i+2),
         # .., p - c_d) with g and the finished rows
-        coeffs = primes - done[:, i : i + 1, i + 1 : d + 1]
-        coeffs[:, :, 0] = 1
-        done[:, i : i + 1] = _matmul_residues(coeffs, done[:, i:], primes)
+        coeffs = primes - done[..., i : i + 1, i + 1 : d + 1]
+        coeffs[..., 0] = 1
+        done[..., i : i + 1, :] = _matmul_residues(coeffs, done[..., i:, :], primes)
     rows = done.astype(np.int64)
-    assert (rows[:, :, 1 : d + 1] == np.eye(d, dtype=np.int64)).all(), (
+    assert (rows[..., 1 : d + 1] == np.eye(d, dtype=np.int64)).all(), (
         f"echelon property failed at k={k} mod {p}"
     )
-    return rows[0] if single else rows
+    return rows

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .certify import REQUIRED_KINDS, Certificate, header_error
-from .cli import _write_csv, load_certificates
+from .cli import _write_csv, load_certificates, misfiled
 from .density import density, expected_trials, lower_bound
 from .patterns import PrimeType
 
@@ -70,9 +70,9 @@ def cmd_stats(directory: Path, out_dir: Path | None = None) -> int:
         return 2
     certs = []
     for path, cert in load_certificates(directory):
-        # a dimension that is not the weight's would put rows under the wrong d,
-        # and a huge one would hang in the factorials of the densities
-        error = cert if isinstance(cert, ValueError) else header_error(cert)
+        # a wrong dimension would put rows under the wrong d, a huge one hang in the
+        # densities' factorials, and a copy under another weight's name count twice
+        error = cert if isinstance(cert, ValueError) else header_error(cert) or misfiled(path, cert)
         if error:
             print(f"warning: skipping {path.name} ({error})", file=sys.stderr)
         else:

@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from maeda import certify
+from maeda import certify, ffpoly
 from maeda.certify import (
     MAX_WEIGHT,
     Certificate,
@@ -496,6 +496,19 @@ def test_recheck_makes_one_charpoly_per_distinct_witness_prime(trial_calls, cert
         primes = {w.prime for w in cert.witnesses.values()}
         assert len(trial_calls["charpoly"]) == len(primes)
     assert len({w.prime for w in cert48[1].witnesses.values()}) < len(cert48[1].witnesses)
+
+
+@pytest.mark.parametrize("k, mode", [(96, "random"), (200, "consecutive")])
+def test_search_and_recheck_make_no_squarefree_test_inside_ffpoly(monkeypatch, k, mode):
+    # certify's own squarefree tests are the only ones: the pattern reads
+    # ffpoly's cached answer, and never calls the public is_squarefree that a
+    # trace wraps to count them
+    inner: list = []
+    public = ffpoly.is_squarefree
+    monkeypatch.setattr(ffpoly, "is_squarefree", lambda *args: inner.append(args) or public(*args))
+    cert = verify_weight(k, mode=mode, seed=1)
+    assert check_certificate(cert)
+    assert inner == []
 
 
 def test_check_certificate_refuses_weight_above_max(built_primes, cert48):

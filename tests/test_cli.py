@@ -399,6 +399,24 @@ def test_cmd_check_fails_a_certificate_filed_under_another_weight(small_run, tmp
             in capsys.readouterr().out)
 
 
+def test_stats_skips_a_certificate_filed_under_another_weight(small_run, tmp_path, capsys):
+    # cert_32.json copied over cert_30.json counted weight 32 twice: 8 ratio
+    # rows from 4 certificates, and "(4 wts)"
+    run = tmp_path / "run"
+    run.mkdir()
+    for k in (24, 28, 32):
+        (run / f"cert_{k}.json").write_bytes(certificate_path(small_run, k).read_bytes())
+    (run / "cert_30.json").write_bytes(certificate_path(small_run, 32).read_bytes())
+    capsys.readouterr()
+    assert main(["stats", str(run), "--out", str(tmp_path / "stats")]) == 0
+    printed = capsys.readouterr()
+    assert printed.err == "warning: skipping cert_30.json (file name is not cert_32.json)\n"
+    assert "6 ratio rows from 3 certificate(s)" in printed.out
+    assert "(4 wts)" not in printed.out
+    with open(tmp_path / "stats" / "stats.csv", newline="") as fh:
+        assert [r["weight"] for r in csv.DictReader(fh)] == ["24", "24", "28", "28", "32", "32"]
+
+
 def test_cmd_check_reports_malformed_file_but_continues(small_run, tmp_path, capsys):
     mixed = tmp_path / "mixed"
     mixed.mkdir()

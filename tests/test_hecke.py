@@ -220,3 +220,35 @@ def test_t2_block_with_one_bad_modulus_is_refused_before_any_work(monkeypatch, b
     with pytest.raises(ValueError, match="modulus must"):
         hecke.hecke_matrix_T2(48, [1048573, 5, bad])
     assert built == []
+
+
+T2_BUILDERS = [hecke.hecke_matrix_T2, qseries.miller_basis, qseries.spanning_set]
+
+
+@pytest.mark.parametrize("build", T2_BUILDERS, ids=lambda build: build.__name__)
+def test_t2_build_checks_each_modulus_once(monkeypatch, build):
+    # spanning_set, the first step of every build, is the one that checks
+    checked: list[int] = []
+    check = qseries.check_modulus
+    monkeypatch.setattr(qseries, "check_modulus", lambda p: checked.append(p) or check(p))
+    build(48, [1048573, 5, 7])
+    assert checked == [1048573, 5, 7]
+    checked.clear()
+    build(48, 7)
+    assert checked == [7]
+
+
+@pytest.mark.parametrize("build", T2_BUILDERS, ids=lambda build: build.__name__)
+@pytest.mark.parametrize("k, p, message", [
+    (48, [5, 1048575], "modulus must be prime, got 1048575"),
+    (47, [5, 7], "weight must be even and at least 12, got 47"),
+    (10, 5, "weight must be even and at least 12, got 10"),
+    (48, [[5, 7]], "moduli must be one prime or a 1-d sequence of primes"),
+    (13, [[5, 7]], "moduli must be one prime or a 1-d sequence of primes"),
+])
+def test_every_t2_builder_refuses_before_any_work(monkeypatch, build, k, p, message):
+    tables: list[int] = []
+    monkeypatch.setattr(qseries, "_tables", lambda prec: tables.append(prec))
+    with pytest.raises(ValueError, match=message):
+        build(k, p)
+    assert tables == []

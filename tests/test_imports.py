@@ -97,7 +97,8 @@ def test_every_traced_name_resolves():
 def test_verify_and_check_reach_every_traced_name(tmp_path, monkeypatch, capsys):
     # each traced function must be called through the attribute that
     # trace_child.py wraps, or its time would land in no traced span.
-    # certify.reduce_matrix is wrapped there but unused by design
+    # certify.reduce_matrix and ffpoly.is_squarefree are wrapped there but
+    # unused by design: every squarefree test is certify's own
     from maeda.cli import main
 
     reached: set[tuple[str, str]] = set()
@@ -113,4 +114,5 @@ def test_verify_and_check_reach_every_traced_name(tmp_path, monkeypatch, capsys)
                  "--jobs", "1", "--out", out]) == 0
     assert main(["check", out]) == 0
     capsys.readouterr()
-    assert set(_traced_names()) - reached == {("maeda.certify", "reduce_matrix")}
+    assert set(_traced_names()) - reached == {("maeda.certify", "reduce_matrix"),
+                                              ("maeda.ffpoly", "is_squarefree")}

@@ -192,8 +192,8 @@ def test_tables_are_exact_up_to_their_bound():
     # sigma_5 is the largest entry: exact in int64 up to MAX_TABLE_PREC and
     # refused above it, since sigma_5(6168) is the first value past 2^63
     top = qseries.MAX_TABLE_PREC
-    sigma3, sigma5, euler = qseries._tables(top)
-    assert not sigma5.flags.writeable
+    sigma3, sigma5, cube = qseries._tables(top)
+    assert not any(table.flags.writeable for table in (sigma3, sigma5, cube))
     exact3, exact5 = [0] * top, [0] * top
     for e in range(1, top):
         for n in range(e, top, e):
@@ -204,7 +204,8 @@ def test_tables_are_exact_up_to_their_bound():
     prec = 300
     assert [240 * int(s) for s in sigma3[1:prec]] == list(eisenstein(4, prec).coeffs[1:])
     assert [-504 * int(s) for s in sigma5[1:prec]] == list(eisenstein(6, prec).coeffs[1:])
-    eta24 = series_pow(QSeries(int(c) for c in euler[:prec]), 24)
+    # Jacobi's cube to the 8th against the Euler product to the 24th
+    eta24 = series_pow(QSeries(int(c) for c in cube[:prec]), 8)
     assert eta24.coeffs == delta(prec + 1).coeffs[1:]
     with pytest.raises(ValueError, match="overflow"):
         qseries._tables(top + 1)
