@@ -394,16 +394,16 @@ def _gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _reduction_rows(f: np.ndarray, p: int) -> np.ndarray:
-    # float64 rows[j] = X^(d+j) mod f for 0 <= j <= d-2, f monic of degree
+    # float64 rows[j] = X^(d+j) mod f for 0 <= j < d, f monic of degree
     # d >= 2, by doubling: X^(d+j+m) is X^(d+j) times X^m, whose terms from
     # X^d on are m rows already made, so rows m..2m-1 are one product with
     # rows 0..m-1 (m + 1 terms per sum)
     d = len(f) - 1
-    rows = np.zeros((d - 1, d))
+    rows = np.zeros((d, d))
     rows[0] = (-f[:d]) % p
     m = 1
-    while m < d - 1:
-        t = min(m, d - 1 - m)
+    while m < d:
+        t = min(m, d - m)
         block = _matmul_residues(rows[:t, d - m :], rows[:m], p)
         block[:, m:] += rows[:t, : d - m]
         rows[m : m + t] = _reduce(block, p)
@@ -427,14 +427,9 @@ def _mulmod(a: np.ndarray, b: np.ndarray, rows: np.ndarray, p: int) -> np.ndarra
 def _x_power(e: int, rows: np.ndarray, p: int) -> np.ndarray:
     # X^e mod the monic f behind ``rows``, e >= 1, by left-to-right binary
     # powering: per bit, h -> h^2, or X h^2 for a set bit, whose terms from
-    # X^n on are reduced in one int64 product with the table of
-    # X^n..X^(2n-1) mod f: rows, and X^(2n-1) = X X^(2n-2) one shift further
+    # X^n on are reduced in one int64 product with the rows X^n..X^(2n-1)
     n = rows.shape[1]
-    table = np.empty((n, n), dtype=np.int64)
-    table[: n - 1] = rows
-    table[n - 1, 0] = 0
-    table[n - 1, 1:] = table[n - 2, :-1]
-    table[n - 1] = (table[n - 1] + table[n - 2, -1] * table[0]) % p
+    table = rows.astype(np.int64)
     h = np.zeros(n, dtype=np.int64)
     h[1] = 1
     shifted = np.zeros(n + 1, dtype=np.int64)  # X h, for a set bit
@@ -516,7 +511,7 @@ def _times(h: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
     # X^n on reduced by the rows
     n = len(h)
     shifted = _toeplitz(h, 2 * n - 1)
-    out = _matmul_residues(shifted[:, n:], rows, p)
+    out = _matmul_residues(shifted[:, n:], rows[:-1], p)
     out += shifted[:, :n]
     return _reduce(out, p)
 

@@ -145,16 +145,15 @@ def _pow(a: np.ndarray, e: int, p: np.ndarray) -> np.ndarray:
     return result
 
 
-def _block(p) -> tuple[np.ndarray, bool]:
-    # the checked moduli as a 1-d int64 array, and whether p was one prime:
-    # the one check of a T2 build, after which its later steps may read p
+def _block(p) -> np.ndarray:
+    # the checked moduli as a 1-d int64 array: the one check of a T2 build,
+    # after which its later steps may read p
     if np.ndim(p) > 1:
         raise ValueError("moduli must be one prime or a 1-d sequence of primes")
-    single = np.ndim(p) == 0
-    block = [operator.index(q) for q in ([p] if single else p)]
+    block = [operator.index(q) for q in ([p] if np.ndim(p) == 0 else p)]
     for q in block:
         check_modulus(q)
-    return np.array(block, dtype=np.int64), single
+    return np.array(block, dtype=np.int64)
 
 
 def spanning_set(k: int, p) -> np.ndarray:
@@ -163,19 +162,18 @@ def spanning_set(k: int, p) -> np.ndarray:
     With b = (k/2) mod 2 and alpha_i = (k - 12i - 6b)/4, g_i is a weight-k
     cusp form q^i + O(q^(i+1)).  Returns a d x prec int64 array whose row
     i-1 is g_i mod p, prec = 2(d+2)+1.  p may also be a 1-d sequence of B
-    primes: then the result is B x d x prec, slice r mod the r-th prime,
-    and each step takes the whole block at once.  Raises
+    primes: then the result is B x d x prec (B = 0 included), slice r mod
+    the r-th prime, and each step takes the whole block at once.  Raises
     ValueError, before any work, unless every p is a prime below 2^20, k an
     even weight of at least 12, and prec at most :data:`MAX_TABLE_PREC`.
     """
-    primes, single = _block(p)
+    primes = _block(p)
     d, prec, b, alpha_d = _shape(k)
     sigma3, sigma5, cube = _tables(prec)
     rows = np.zeros((len(primes), d, prec))  # float64 residues, for the products below
-    if d:
+    if rows.size:  # nothing to build for an empty space or an empty block
         _fill_rows(rows, b, alpha_d, primes, sigma3, sigma5, cube)
-    rows = rows.astype(np.int64)
-    return rows[0] if single else rows
+    return rows.astype(np.int64).reshape(np.shape(p) + (d, prec))
 
 
 def _fill_rows(rows: np.ndarray, b: int, alpha_d: int, primes: np.ndarray,

@@ -151,7 +151,7 @@ def _zmul(a: list[int], b: list[int]) -> list[int]:
 
 def reduction_and_frobenius_rows(f: list[int], p: int) -> tuple[list[list[int]], list[list[int]]]:
     """For monic f of degree n >= 2 over F_p: the rows X^(n+j) mod f for
-    0 <= j <= n-2, and the rows X^(rp) mod f for 0 <= r < n, each padded to
+    0 <= j < n, and the rows X^(rp) mod f for 0 <= r < n, each padded to
     n coefficients.  Each reduction row is the one before times X, and each
     Frobenius row the one before times X^p, by schoolbook products and long
     division."""
@@ -164,7 +164,7 @@ def reduction_and_frobenius_rows(f: list[int], p: int) -> tuple[list[list[int]],
         return a + [0] * (n - len(a))
 
     reduction = [mod_f([0] * n + [1])]
-    for _ in range(n - 2):
+    for _ in range(n - 1):
         reduction.append(mod_f([0] + reduction[-1]))
     xp, square = [1], [0, 1]  # X^p by right-to-left binary powering
     e = p

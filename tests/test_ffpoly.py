@@ -538,7 +538,7 @@ def test_frobenius_rows_at_block_boundaries(n):
         assert frob.astype(np.int64).tolist() == expected_frob, (n, p)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 16])
+@pytest.mark.parametrize("n", [2, 3, 4, 16, 100])
 def test_x_power_matches_binary_powering_in_python_ints(n):
     # X^e mod f, every bit pattern of e to 2^7 and the largest modulus, and
     # the worst case for exactness, every coefficient p - 1, against

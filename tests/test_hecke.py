@@ -245,6 +245,7 @@ def test_t2_build_checks_each_modulus_once(monkeypatch, build):
     (10, 5, "weight must be even and at least 12, got 10"),
     (48, [[5, 7]], "moduli must be one prime or a 1-d sequence of primes"),
     (13, [[5, 7]], "moduli must be one prime or a 1-d sequence of primes"),
+    (48, np.array([[5], [7]]), "moduli must be one prime or a 1-d sequence of primes"),
 ])
 def test_every_t2_builder_refuses_before_any_work(monkeypatch, build, k, p, message):
     tables: list[int] = []
@@ -252,3 +253,25 @@ def test_every_t2_builder_refuses_before_any_work(monkeypatch, build, k, p, mess
     with pytest.raises(ValueError, match=message):
         build(k, p)
     assert tables == []
+
+
+@pytest.mark.parametrize("build", T2_BUILDERS, ids=lambda build: build.__name__)
+@pytest.mark.parametrize("k", [14, 48])  # d = 0 and d = 4
+@pytest.mark.parametrize("p", [7, [5, 7, 1048573], (5, 7, 1048573),
+                               np.array([5, 7, 1048573], dtype=np.int64), []],
+                         ids=["int", "list", "tuple", "array", "empty"])
+def test_every_t2_builder_takes_the_shape_of_its_moduli(monkeypatch, build, k, p):
+    # np.shape(p) + (d, cols): one prime gives one build, and a block of B
+    # primes, B = 0 included, a leading axis of B whose slices are the
+    # primes' own builds; an empty block builds no rows
+    d, prec = qseries._shape(k)[:2]
+    cols = d if build is hecke.hecke_matrix_T2 else prec
+    fill = qseries._fill_rows
+    filled: list[int] = []
+    monkeypatch.setattr(qseries, "_fill_rows", lambda rows, *args: filled.append(len(rows))
+                        or fill(rows, *args))
+    built = build(k, p)
+    assert built.dtype == np.int64 and built.shape == np.shape(p) + (d, cols)
+    assert filled == ([np.size(p)] if d and np.size(p) else [])
+    for q, one in zip(np.ravel(p).tolist(), built.reshape(np.size(p), d, cols)):
+        assert np.array_equal(one, build(k, q)), q
