@@ -223,10 +223,12 @@ def _built(k: int, primes: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
     # (p, T2 mod p) for each of the primes in turn, built max_block(k) at a
     # time (fewer in the last block).  A block is drawn only when the one
     # before is used up, so fewer than one block is built past where the
-    # caller stops
+    # caller stops.  Each matrix is a copy that owns its storage: a view would
+    # keep the whole spent block alive through the next build, held by the
+    # caller's loop variable and by the tuples enumerate and zip reuse
     primes = iter(primes)
     while block := list(itertools.islice(primes, max_block(k))):
-        yield from zip(block, hecke_matrix_T2(k, block))
+        yield from zip(block, map(np.copy, hecke_matrix_T2(k, block)))
 
 
 def _pattern_of(matrix: np.ndarray, p: int) -> Pattern | None:

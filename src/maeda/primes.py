@@ -22,14 +22,19 @@ _MR_TWO_BASES_BOUND = 1_373_653
 
 @functools.lru_cache(maxsize=8)
 def sieve_primes(bound: int) -> np.ndarray:
-    """All primes strictly below ``bound``, ascending, as a read-only int64 array.
+    """All primes strictly below ``bound``, ascending, as a read-only int32 array.
 
-    The array is cached and shared, hence read-only.  Its elements are numpy
-    integers: take ``int(primes[i])`` or ``primes.tolist()`` where Python
-    ints are needed (certificates, Fractions, float sums).
+    int32 holds every prime below 2^31, so a larger ``bound`` is refused with
+    ValueError before anything is allocated.  The array is cached and shared,
+    hence read-only.  Its elements are numpy int32, whose products and sums
+    wrap: take ``int(primes[i])`` or ``primes.tolist()`` before any
+    arithmetic, and wherever Python ints are needed (certificates,
+    Fractions, float sums).
     """
+    if bound > 1 << 31:
+        raise ValueError(f"sieve bound {bound} above 2^31")
     if bound <= 2:
-        primes = np.empty(0, dtype=np.int64)
+        primes = np.empty(0, dtype=np.int32)
     else:
         # odd numbers only: odd[i] stands for 2i + 1, and the odd multiples
         # of p from p^2 on are every p-th entry from p^2 // 2
@@ -39,7 +44,14 @@ def sieve_primes(bound: int) -> np.ndarray:
             if odd[i]:
                 p = 2 * i + 1
                 odd[p * p // 2 :: p] = False
-        primes = np.concatenate(([2], 2 * np.flatnonzero(odd) + 1)).astype(np.int64, copy=False)
+        index = np.flatnonzero(odd)
+        del odd
+        # 2i + 1 written straight into the result: no temporary array
+        primes = np.empty(len(index) + 1, dtype=np.int32)
+        primes[0] = 2
+        np.multiply(index, 2, out=primes[1:], casting="unsafe")
+        del index
+        primes[1:] += 1
     primes.flags.writeable = False
     return primes
 

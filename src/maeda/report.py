@@ -15,9 +15,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
-from .certify import REQUIRED_KINDS, Certificate, header_error
+from .certify import MAX_WEIGHT, REQUIRED_KINDS, Certificate, header_error
 from .cli import _write_csv, load_certificates, misfiled
 from .density import density, expected_trials, lower_bound
+from .hecke import dim_cusp_forms
 from .patterns import PrimeType
 
 __all__ = ["ratio_rows", "ratio_summary", "cmd_stats", "cmd_density"]
@@ -116,9 +117,19 @@ def cmd_stats(directory: Path, out_dir: Path | None = None) -> int:
 
 
 def cmd_density(d_min: int, d_max: int) -> int:
-    """Print exact/float densities, expected trials, and bound status."""
+    """Print exact/float densities, expected trials, and bound status.
+
+    d_max is capped at the dimension at :data:`~maeda.certify.MAX_WEIGHT`,
+    the weights ``check`` accepts: far above it the exact D_II has more
+    digits than Python converts to a string.
+    """
     if not 1 <= d_min <= d_max:
         print(f"error: need 1 <= d_min <= d_max, got [{d_min}, {d_max}]",
+              file=sys.stderr)
+        return 2
+    d_cap = dim_cusp_forms(MAX_WEIGHT)
+    if d_max > d_cap:
+        print(f"error: d_max {d_max} above {d_cap}, the dimension at weight {MAX_WEIGHT}",
               file=sys.stderr)
         return 2
     header = (f"{'d':>5}  {'D_I':>12} {'D_II':>16} {'D_III':>16} {'D_IV':>12}  "

@@ -9,9 +9,11 @@ suite out.
 
 import csv
 import dataclasses
+import json
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +261,39 @@ def test_criterion_9_prime_reciprocal_sandwich():
         assert lower < total < upper, (x, lower, total, upper)
         details.append(f"x={x}: {lower:.5f} < {total:.5f} < {upper:.5f}")
     report(9, "; ".join(details))
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def normalized_certificates(directory: Path) -> dict[int, str]:
+    # weight -> that certificate's JSON without duration_ms, on one line;
+    # the golden files hold these lines in weight order
+    lines = {}
+    for path in Path(directory).glob("cert_*.json"):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        del payload["duration_ms"]
+        lines[payload["weight"]] = json.dumps(payload)
+    return lines
+
+
+def test_certificates_are_golden(random_run, consecutive_run, tmp_path):
+    # with a fixed seed every certificate is byte-identical apart from
+    # duration_ms: the acceptance runs and k = 1200 against committed copies
+    assert cmd_verify(RunConfig(k_min=1200, k_max=1200, out_dir=tmp_path,
+                                mode="random", seed=1)) == 0
+    runs = ((random_run, "certificates_random_12_600_seed_1.jsonl"),
+            (consecutive_run, "certificates_consecutive_200_600.jsonl"),
+            (tmp_path, "certificates_random_1200_seed_1.jsonl"))
+    compared = 0
+    for directory, name in runs:
+        golden = {json.loads(line)["weight"]: line
+                  for line in (GOLDEN / name).read_text(encoding="utf-8").splitlines()}
+        actual = normalized_certificates(directory)
+        differing = [k for k in sorted(golden.keys() | actual.keys())
+                     if golden.get(k) != actual.get(k)]
+        assert not differing, (f"{name}: first differing weight {differing[0]}\n"
+                               f"golden: {golden.get(differing[0])}\n"
+                               f"actual: {actual.get(differing[0])}")
+        compared += len(actual)
+    report(10, f"{compared} certificates equal the golden files apart from duration_ms")

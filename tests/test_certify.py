@@ -8,7 +8,8 @@ import random
 import numpy as np
 import pytest
 
-from maeda import certify, ffpoly
+from maeda import certify, ffpoly, hecke
+from maeda import primes as primes_module
 from maeda.certify import (
     MAX_WEIGHT,
     Certificate,
@@ -82,12 +83,20 @@ def test_sample_prime_uniform_chi_square():
 
 
 def test_prime_pool_size_below_2_20():
-    # one cached int64 array, shared by every caller, so it must be read-only
+    # one cached int32 array, shared by every caller, so it must be read-only
     primes = sieve_primes(1 << 20)
-    assert len(primes) == 82025 and primes.dtype == np.int64
+    assert len(primes) == 82025 and primes.dtype == np.int32
     assert primes is sieve_primes(1 << 20) and not primes.flags.writeable
     with pytest.raises(ValueError):
         primes[0] = 4
+
+
+def test_sieve_refuses_a_bound_above_2_31_before_it_allocates(monkeypatch):
+    # int32 holds every prime below 2^31; without numpy any allocation fails
+    # with another error than the refusal
+    monkeypatch.setattr(primes_module, "np", None)
+    with pytest.raises(ValueError, match="above 2\\^31"):
+        sieve_primes((1 << 31) + 1)
 
 
 def test_sieve_primes_matches_primality_test():
@@ -363,6 +372,19 @@ def test_search_builds_each_drawn_prime_once_in_full_blocks(built_blocks, k, mod
         drawn = [sample_prime(rng, 1 << 20) for _ in built]
     assert built == drawn and len(set(built)) == len(built)
     assert trials <= len(built) < trials + max_block(k)
+
+
+def test_built_yields_matrices_that_own_their_storage():
+    # a view into the block would keep the spent block alive through the
+    # next build; 15 primes make a full block of max_block(600) = 11 and 4
+    primes = sieve_primes(1 << 20)[-15:].tolist()
+    size = max_block(600)
+    expected = [matrix for i in range(0, len(primes), size)
+                for matrix in hecke.hecke_matrix_T2(600, primes[i:i + size])]
+    built = list(certify._built(600, primes))
+    assert [p for p, _ in built] == primes
+    for (p, matrix), want in zip(built, expected, strict=True):
+        assert matrix.base is None and np.array_equal(matrix, want), p
 
 
 def test_weight_seed_is_the_blake2b_digest_of_seed_and_weight():

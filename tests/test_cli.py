@@ -538,6 +538,20 @@ def test_cmd_density_table(capsys):
     assert cmd_density(3, 2) == 2
 
 
+@pytest.mark.parametrize("d, code", [(1166, 0), (1167, 2), (14296, 2)])
+def test_density_caps_d_max_at_the_dimension_at_max_weight(capsys, d, code):
+    # dim S_14000 = 1166; from d = 14296 on the exact D_II has more than the
+    # 4,300 digits Python converts to a string, which raised a traceback
+    assert dim_cusp_forms(MAX_WEIGHT) == 1166
+    assert main(["density", "--from", str(d), "--to", str(d)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err == f"error: d_max {d} above 1166, the dimension at weight 14000\n"
+    else:
+        assert captured.out.splitlines()[1].split()[0] == "1166" and captured.err == ""
+
+
 # ---------------------------------------------------------------------------
 # golden outputs: density and stats print and write exactly these bytes
 
