@@ -42,8 +42,13 @@ Toeplitz matrices (:func:`_toeplitz`); each of the helpers asserts the
 bound on its terms per sum before it multiplies.  The baby and
 giant products sum at most one row length per entry: the size of the
 matrix here, and for the series of :mod:`maeda.qseries` their length, at
-most 6000.  Doubling the reduction rows sums at most d + 1 terms.  The
-trace kernels also assert their own size preconditions.  A trace
+most 6000.  Doubling the reduction rows, and the matrix of multiplication
+by an element mod f (:func:`_times`), fold the shifted terms below X^d
+into the product's sums and reduce once: a sum is at most d - 1 products
+below 2^40 and one residue below 2^20, so while its d terms are fewer than
+2^13, which each asserts, it stays below (2^13 - 1) 2^40 = 2^53 - 2^40,
+exact and inside the range of the float64 reduction below.  The trace
+kernels also assert their own size preconditions.  A trace
 tr(M^a M^b) is a sum over the d^2 entries of two matrices, exact in one
 product only while d^2 < 2^13, that is d <= 90; :func:`_power_traces` cuts
 it into chunks of fewer than 2^13 terms, each an exact product reduced mod
@@ -201,7 +206,8 @@ def _power_traces(M: np.ndarray, m: int, p: int) -> np.ndarray:
     # tr(M^i) mod p for 0 <= i <= m, M a d x d float64 array of residues, by
     # Paterson-Stockmeyer baby and giant steps.  The babies M^a, a < s, are
     # kept; the giants G_b = (M^T)^(bs) are made one at a time, so at most
-    # s + 3 matrices are live.  The steps take s - 2 + ceil((m + 1) / s)
+    # s + 3 matrices are live.  M^0 = I and M^1 = M, and G_1 = M^T at
+    # s = 1, need no product, so the steps take s - 3 + ceil((m + 1) / s)
     # products, and s is the least that makes this fewest.
     # tr(M^(a + bs)) = <M^a, G_b>, a sum over the d^2 entries taken in
     # chunks of fewer than MAX_FLOAT_TERMS terms: each chunk is an exact
@@ -216,13 +222,15 @@ def _power_traces(M: np.ndarray, m: int, p: int) -> np.ndarray:
     assert chunks * p < 2**53, "a sum of chunk residues could exceed 2^53"
     baby = np.empty((s, d, d))
     baby[0] = np.eye(d)
-    for a in range(1, s):
+    if s > 1:
+        baby[1] = M
+    for a in range(2, s):
         _matmul_residues(baby[a - 1], M, p, out=baby[a])
     flat = baby.reshape(s, d * d)
     part = np.zeros((giants, chunks, s))  # part[b, c, a]: chunk c of <M^a, G_b>
     part[0, 0] = flat[:, :: d + 1].sum(axis=1)  # G_0 = I: the babies' traces
-    if giants > 1:
-        step = giant = _matmul_residues(M.T, baby[s - 1].T, p)  # G_1 = (M^s)^T
+    if giants > 1:  # G_1 = (M^s)^T
+        step = giant = _matmul_residues(M.T, baby[s - 1].T, p) if s > 1 else M.T
     for b in range(1, giants):
         g = giant.reshape(-1)
         for c in range(chunks):
@@ -237,9 +245,10 @@ def _power_traces(M: np.ndarray, m: int, p: int) -> np.ndarray:
 def charpoly_mod_p(A: np.ndarray, p: int) -> np.ndarray:
     """Monic characteristic polynomial of the square matrix A over F_p.
 
-    A may hold any integers; they are reduced mod p.  When p > d, the power
-    sums tr(A^k), k <= d, come from about 2 sqrt(d) matrix products
-    (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973) and give the
+    A may hold any integers, Python ints beyond int64 included; they are
+    reduced mod p exactly.  When p > d, the power sums tr(A^k), k <= d,
+    come from about 2 sqrt(d) matrix products (Paterson & Stockmeyer,
+    SIAM J. Comput. 2, 1973) and give the
     coefficients by Newton's identities (the Le Verrier-Faddeev method;
     Faddeev & Faddeeva, *Computational Methods of Linear Algebra*, 1963).
     Otherwise the matrix is reduced to upper Hessenberg form by a
@@ -252,7 +261,10 @@ def charpoly_mod_p(A: np.ndarray, p: int) -> np.ndarray:
     36-39 ms at d = 200, 0.15-0.17 against 0.24-0.26 s at d = 400, and
     1.4-1.6 against 2.3-2.5 s at d = 800, so the traces run whenever p > d.
     """
-    h = np.asarray(A, dtype=np.int64) % p
+    try:
+        h = np.asarray(A, dtype=np.int64) % p
+    except OverflowError:  # an entry outside int64, such as an exact T2 entry
+        h = (np.asarray(A, dtype=object) % p).astype(np.int64)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
     if _by_traces(h.shape[0], p):
@@ -397,14 +409,16 @@ def _reduction_rows(f: np.ndarray, p: int) -> np.ndarray:
     # float64 rows[j] = X^(d+j) mod f for 0 <= j < d, f monic of degree
     # d >= 2, by doubling: X^(d+j+m) is X^(d+j) times X^m, whose terms from
     # X^d on are m rows already made, so rows m..2m-1 are one product with
-    # rows 0..m-1 (m + 1 terms per sum)
+    # rows 0..m-1 plus the shifted terms below X^d, reduced once: a sum of
+    # m products and one residue, m + 1 terms
     d = len(f) - 1
     rows = np.zeros((d, d))
     rows[0] = (-f[:d]) % p
     m = 1
     while m < d:
         t = min(m, d - m)
-        block = _matmul_residues(rows[:t, d - m :], rows[:m], p)
+        assert m + 1 < MAX_FLOAT_TERMS, "a float64 sum could exceed 2^53"
+        block = rows[:t, d - m :] @ rows[:m]
         block[:, m:] += rows[:t, : d - m]
         rows[m : m + t] = _reduce(block, p)
         m += t
@@ -426,14 +440,25 @@ def _mulmod(a: np.ndarray, b: np.ndarray, rows: np.ndarray, p: int) -> np.ndarra
 
 def _x_power(e: int, rows: np.ndarray, p: int) -> np.ndarray:
     # X^e mod the monic f behind ``rows``, e >= 1, by left-to-right binary
-    # powering: per bit, h -> h^2, or X h^2 for a set bit, whose terms from
-    # X^n on are reduced in one int64 product with the rows X^n..X^(2n-1)
+    # powering from X^s, s the longest leading bit prefix of e below 2n:
+    # X^s is a monomial or one of the rows X^n..X^(2n-1), so only the bits
+    # after the prefix cost a squaring.  Per bit, h -> h^2, or X h^2 for a
+    # set bit, whose terms from X^n on are reduced in one int64 product
+    # with those rows
     n = rows.shape[1]
     table = rows.astype(np.int64)
-    h = np.zeros(n, dtype=np.int64)
-    h[1] = 1
+    bits = bin(e)[2:]
+    k = min(len(bits), (2 * n - 1).bit_length())
+    if int(bits[:k], 2) >= 2 * n:
+        k -= 1
+    s = int(bits[:k], 2)
+    if s < n:
+        h = np.zeros(n, dtype=np.int64)
+        h[s] = 1
+    else:
+        h = table[s - n].copy()
     shifted = np.zeros(n + 1, dtype=np.int64)  # X h, for a set bit
-    for bit in bin(e)[3:]:
+    for bit in bits[k:]:
         if bit == "1":
             shifted[1:] = h
             c = np.convolve(h, shifted)
@@ -511,25 +536,27 @@ def _times(h: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
     # X^n on reduced by the rows
     n = len(h)
     shifted = _toeplitz(h, 2 * n - 1)
-    out = _matmul_residues(shifted[:, n:], rows[:-1], p)
-    out += shifted[:, :n]
+    assert n < MAX_FLOAT_TERMS, "a float64 sum could exceed 2^53"
+    out = shifted[:, n:] @ rows[:-1]  # n - 1 products per entry
+    out += shifted[:, :n]  # and one residue, reduced once
     return _reduce(out, p)
 
 
 def _frobenius(f: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     # for monic f of degree n >= 2: the float64 reduction rows of f, and the
     # float64 Frobenius matrix Q of F_p[X]/(f), whose row r is X^(rp) mod f.
-    # Baby steps: rows 1..s, s = isqrt(n), each the one before times the
-    # matrix of multiplication by X^p.  Giant steps: each later block of s
-    # rows is the block before times the matrix of multiplication by
-    # X^(sp), row s, in one product
+    # Baby steps: row 1 is X^p, and rows 2..s, s = isqrt(n), are each the
+    # one before times the matrix of multiplication by X^p.  Giant steps:
+    # each later block of s rows is the block before times the matrix of
+    # multiplication by X^(sp), row s, in one product
     n = len(f) - 1
     rows = _reduction_rows(f, p)
-    times_xp = _times(_x_power(p, rows, p).astype(np.float64), rows, p)
     s = math.isqrt(n)
     frob = np.zeros((n, n))
     frob[0, 0] = 1
-    for r in range(1, min(s + 1, n)):
+    frob[1] = _x_power(p, rows, p)
+    times_xp = _times(frob[1], rows, p)
+    for r in range(2, min(s + 1, n)):
         frob[r] = _matmul(frob[r - 1], times_xp, p)
     if s + 1 < n:
         giant = _times(frob[s], rows, p)

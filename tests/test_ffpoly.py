@@ -538,16 +538,32 @@ def test_frobenius_rows_at_block_boundaries(n):
         assert frob.astype(np.int64).tolist() == expected_frob, (n, p)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 16, 100])
+def _x_powers_by_shifts(f: list[int], p: int, count: int) -> list[list[int]]:
+    # X^0 .. X^count mod the monic f in Python ints, each the one before
+    # shifted by one, less its top coefficient times f
+    h, out = [1] + [0] * (len(f) - 2), []
+    for _ in range(count + 1):
+        out.append(h)
+        h = [(a - h[-1] * c) % p for a, c in zip([0] + h[:-1], f)]
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 16, 49, 100])
 def test_x_power_matches_binary_powering_in_python_ints(n):
-    # X^e mod f, every bit pattern of e to 2^7 and the largest modulus, and
-    # the worst case for exactness, every coefficient p - 1, against
-    # schoolbook products and long division
+    # X^e mod f at the largest modulus, for every e to 4n (and to 2^7), past
+    # the last seed X^(2n - 1) the rows hold, against shifts in Python ints,
+    # and for p - 1 and p against schoolbook products and long division;
+    # then X^q mod f over F_q for every prime q < 2n, a monomial or a row,
+    # which takes no squaring.  A random f, and the worst case for
+    # exactness, every coefficient p - 1
     p = 1048573
     rng = random.Random(n)
     for f in ([p - 1] * n + [1], [rng.randrange(p) for _ in range(n)] + [1]):
         rows = _reduction_rows(np.array(f, dtype=np.int64), p)
-        for e in [*range(1, 129), p, p - 1]:
+        powers = _x_powers_by_shifts(f, p, max(4 * n, 128))
+        for e in range(1, len(powers)):
+            assert _x_power(e, rows, p).tolist() == powers[e], (n, e)
+        for e in (p - 1, p):
             expected, square, rest = [1], [0, 1], e
             while rest:
                 if rest & 1:
@@ -557,6 +573,32 @@ def test_x_power_matches_binary_powering_in_python_ints(n):
             power = _x_power(e, rows, p)
             assert power.dtype == np.int64
             assert power.tolist() == expected + [0] * (n - len(expected)), (n, e)
+    for q in sieve_primes(2 * n).tolist():
+        for f in ([q - 1] * n + [1], [rng.randrange(q) for _ in range(n)] + [1]):
+            rows = _reduction_rows(np.array(f, dtype=np.int64), q)
+            assert _x_power(q, rows, q).tolist() == _x_powers_by_shifts(f, q, q)[q], (n, q, f)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 49, 100])
+def test_x_power_squares_only_the_bits_after_its_seed(n, monkeypatch):
+    # X^e starts from X^s, s the longest leading bit prefix of e below 2n,
+    # which is a monomial or a row of the table, so it takes one
+    # np.convolve per bit of e after that prefix
+    p = 1048573
+    rows = _reduction_rows(np.array([p - 1] * n + [1], dtype=np.int64), p)
+    calls = []
+    convolve = np.convolve
+    monkeypatch.setattr(np, "convolve", lambda *args: calls.append(1) or convolve(*args))
+    squarings = {}
+    for e in [*range(1, 4 * n + 1), p - 1, p, 524309, 1048571]:
+        bits = e.bit_length()
+        prefix = max(j for j in range(1, bits + 1) if e >> (bits - j) < 2 * n)
+        calls.clear()
+        _x_power(e, rows, p)
+        assert len(calls) == bits - prefix, (n, e)
+        squarings[e] = len(calls)
+    assert squarings[2 * n - 1] == 0 and squarings[2 * n] == 1
+    assert squarings[p] == {2: 18, 3: 18, 16: 15, 49: 14, 100: 13}[n]
 
 
 def test_hessenberg_charpoly_is_exact_at_the_largest_entries():
@@ -781,6 +823,32 @@ def test_chunked_power_traces_are_exact_at_the_worst_case(d, chunks):
     assert _power_traces(m.astype(np.float64), 4, p).tolist() == [int(t) % p for t in expected]
 
 
+@pytest.mark.parametrize("d, chunks", [(128, 3), (181, 4)])
+def test_trace_charpoly_of_the_all_p_minus_1_matrix(d, chunks):
+    # every entry p - 1 at the largest p is -J, J the all-ones matrix, with
+    # eigenvalues -d once and 0 d - 1 times: its charpoly is X^(d-1) (X + d).
+    # The trace chunks hold fewer than 2^13 terms each (at d = 181, 4 of at
+    # most 8,191), and the entries of M itself give the largest chunk sums
+    p = 1048573
+    assert -(-d * d // (MAX_FLOAT_TERMS - 1)) == chunks
+    got = charpoly_mod_p(np.full((d, d), p - 1), p)
+    assert got.tolist() == [0] * (d - 1) + [d, 1]
+
+
+def test_charpoly_mod_p_reduces_entries_beyond_int64_exactly():
+    # the exact T2 matrix at k = 1200 (d = 100) has entries of about 1800
+    # bits, which np.asarray(..., dtype=np.int64) refuses with OverflowError
+    m = hecke_matrix_T2(1200)
+    assert max(abs(e) for row in m.rows for e in row) >= 2**63
+    for p in (97, 1048573):  # the Hessenberg path (p <= d) and the traces
+        expected = charpoly_mod_p(reduce_matrix(m, p), p).tolist()
+        assert charpoly_mod_p(m.rows, p).tolist() == expected, p
+        assert charpoly_mod_p(np.array(m.rows, dtype=object), p).tolist() == expected, p
+    assert charpoly_mod_p([[-(2**70)]], 5).tolist() == [2**70 % 5, 1]
+    with pytest.raises(ValueError, match="square"):
+        charpoly_mod_p([[2**70, 1]], 5)
+
+
 @pytest.mark.parametrize("k", [1092, 1200, 2400, 4800])  # d = 91, 100, 200, 400
 def test_chunked_trace_charpoly_equals_hessenberg_on_T2(k):
     d = hecke.dim_cusp_forms(k)
@@ -829,6 +897,27 @@ def test_pattern_paths_on_T2_reductions_above_degree_90(k, paths):
             assert got == trace_pattern(fp, p), (k, p)
         checked[path] += 1
     assert checked["traces" if d <= TRACE_FACTOR_MAX_DEGREE else "split"] >= 2, checked
+
+
+@pytest.mark.parametrize("d, products", [(1, 0), (2, 1), (3, 1), (16, 6), (50, 12), (100, 18)])
+def test_power_traces_take_no_product_by_the_identity(d, products, monkeypatch):
+    # M^0 = I and M^1 = M, and at s = 1 also G_1 = M^T, need no product, so
+    # the traces to d take s - 3 + ceil((d + 1) / s) products: s = 1 at
+    # d <= 2, 2 at 3, 3 at 16, 6 at 50 and 8 at 100
+    calls = []
+    product = ffpoly._matmul_residues
+    monkeypatch.setattr(ffpoly, "_matmul_residues",
+                        lambda *args, **kwargs: calls.append(1) or product(*args, **kwargs))
+    p = 1048573
+    m = np.random.default_rng(d).integers(0, p, size=(d, d))
+    traces = _power_traces(m.astype(np.float64), d, p).tolist()
+    assert len(calls) == products
+    if d <= 16:  # against powers in Python ints
+        power, expected = np.eye(d, dtype=np.int64).astype(object), []
+        for _ in range(d + 1):
+            expected.append(int(power.trace()) % p)
+            power = power.dot(m.astype(object)) % p
+        assert traces == expected
 
 
 def test_power_traces_of_a_permutation_matrix():

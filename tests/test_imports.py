@@ -116,3 +116,15 @@ def test_verify_and_check_reach_every_traced_name(tmp_path, monkeypatch, capsys)
     capsys.readouterr()
     assert set(_traced_names()) - reached == {("maeda.certify", "reduce_matrix"),
                                               ("maeda.ffpoly", "is_squarefree")}
+
+
+def test_every_catalogued_mutant_applies_to_the_source():
+    # tools/mutants.py refuses a mutant whose text is not found exactly
+    # once; this catches a stale catalogue in seconds, not in a CI step
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len(mutants.MUTANTS) == 9
+    for name, path, text, replacement in mutants.MUTANTS:
+        source = (ROOT / "src" / "maeda" / path).read_text()
+        assert source.count(text) == 1 and text != replacement, name
