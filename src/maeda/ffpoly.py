@@ -6,9 +6,9 @@ factorization patterns.
 F_p data are plain int64 numpy arrays of residues in [0, p), passed together
 with p: a matrix is a square 2-d array, and a polynomial is a 1-d array of
 coefficients, lowest degree first, whose last entry is its leading
-coefficient.  The modulus is checked once, where integer data enter F_p
-(:func:`reduce_matrix`, and :func:`~maeda.hecke.hecke_matrix_T2`);
-the functions that take an F_p array trust the p passed with it.
+coefficient.  Integer data enter F_p only through the public functions:
+each, like :func:`~maeda.hecke.hecke_matrix_T2`, raises ValueError before
+any work unless p is a prime below 2^20, and the helpers trust their p.
 
 Two regimes.  A trial of the search takes the characteristic polynomial of
 a d x d matrix and the pattern of a degree-d polynomial, and for nearly all
@@ -88,17 +88,23 @@ __all__ = [
 
 
 def reduce_matrix(M, p: int) -> np.ndarray:
-    """Entry-wise reduction of a square integer matrix into [0, p), as int64.
+    """A new int64 array: the square integer matrix M reduced exactly into [0, p).
 
-    M is anything whose ``rows`` are sequences of integers, such as the
-    exact matrix of :func:`maeda.oracles.hecke_matrix_T2`.  Raises
-    ValueError unless p is a prime below 2^20.
+    M is an integer array, nested sequences, or anything with such ``rows``,
+    like :func:`maeda.oracles.hecke_matrix_T2`, entries beyond int64 included.
+    Raises ValueError unless p is a prime below 2^20 and M is square.
     """
     check_modulus(p)
-    d = len(M.rows)
-    return np.fromiter(
-        (e % p for row in M.rows for e in row), dtype=np.int64, count=d * d
-    ).reshape(d, d)
+    rows = getattr(M, "rows", M)
+    try:
+        h = np.asarray(rows, dtype=np.int64) % p
+    except OverflowError:  # an entry outside int64, such as an exact T2 entry
+        h = (np.asarray(rows, dtype=object) % p).astype(np.int64)
+    if h.shape == (0,):  # no rows at all
+        h = h.reshape(0, 0)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError("matrix must be square")
+    return h
 
 
 # float64 holds every integer below 2^53 and a product of two residues is
@@ -245,12 +251,12 @@ def _power_traces(M: np.ndarray, m: int, p: int) -> np.ndarray:
 def charpoly_mod_p(A: np.ndarray, p: int) -> np.ndarray:
     """Monic characteristic polynomial of the square matrix A over F_p.
 
-    A may hold any integers, Python ints beyond int64 included; they are
-    reduced mod p exactly.  When p > d, the power sums tr(A^k), k <= d,
-    come from about 2 sqrt(d) matrix products (Paterson & Stockmeyer,
-    SIAM J. Comput. 2, 1973) and give the
-    coefficients by Newton's identities (the Le Verrier-Faddeev method;
-    Faddeev & Faddeeva, *Computational Methods of Linear Algebra*, 1963).
+    A is read by :func:`reduce_matrix`, which raises ValueError unless p is
+    a prime below 2^20 and A square.  When p > d, the power sums tr(A^k),
+    k <= d, come from about 2 sqrt(d) matrix products (Paterson &
+    Stockmeyer, SIAM J. Comput. 2, 1973) and give the coefficients by
+    Newton's identities (the Le Verrier-Faddeev method; Faddeev & Faddeeva,
+    *Computational Methods of Linear Algebra*, 1963).
     Otherwise the matrix is reduced to upper Hessenberg form by a
     similarity built from pivoted eliminations, and the leading-minor
     recurrence runs on it (Cohen, *A Course in Computational Algebraic
@@ -261,12 +267,7 @@ def charpoly_mod_p(A: np.ndarray, p: int) -> np.ndarray:
     36-39 ms at d = 200, 0.15-0.17 against 0.24-0.26 s at d = 400, and
     1.4-1.6 against 2.3-2.5 s at d = 800, so the traces run whenever p > d.
     """
-    try:
-        h = np.asarray(A, dtype=np.int64) % p
-    except OverflowError:  # an entry outside int64, such as an exact T2 entry
-        h = (np.asarray(A, dtype=object) % p).astype(np.int64)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("matrix must be square")
+    h = reduce_matrix(A, p)
     if _by_traces(h.shape[0], p):
         return _charpoly_traces(h, p)
     return _charpoly_hessenberg(h, p)
@@ -339,13 +340,6 @@ def _trim(a: np.ndarray) -> np.ndarray:
     return a[: nonzero[-1] + 1] if nonzero.size else a[:0]
 
 
-def _degree_scan(buf: np.ndarray, start: int) -> int:
-    d = start
-    while d >= 0 and not buf[d]:
-        d -= 1
-    return d
-
-
 def _divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     # quotient and remainder of trimmed a by trimmed b != 0.  The quotient's
     # reversal is rev(a) / rev(b) mod X^(deg a - deg b + 1), one Newton
@@ -395,7 +389,9 @@ def _gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
             t = int(buf_a[da]) * binv % p
             if t:
                 buf_a[da - db : da] = (buf_a[da - db : da] - t * buf_b[:db]) % p
-            da = _degree_scan(buf_a, da - 1)
+            da -= 1
+            while da >= 0 and not buf_a[da]:
+                da -= 1
         buf_a, buf_b, da, db = buf_b, buf_a, db, da
     if da < 0:
         return buf_a[:0]
@@ -485,6 +481,7 @@ TRACE_FACTOR_MAX_DEGREE = 290
 def is_squarefree(f: np.ndarray, p: int) -> bool:
     """True iff f has no repeated irreducible factor over F_p.
 
+    Raises ValueError unless p is a prime below 2^20 and f is not zero.
     When f is monic, p > n = deg f and 2 <= n <=
     :data:`TRACE_FACTOR_MAX_DEGREE`, the answer comes from the traces of
     the Frobenius matrix Q to n.  On
@@ -502,10 +499,7 @@ def is_squarefree(f: np.ndarray, p: int) -> bool:
     factors it, and :func:`factorization_pattern` tests it again and reads
     the degrees instead of building Q again.
     """
-    f = np.asarray(f, dtype=np.int64)
-    if not f.any():
-        raise ValueError("squarefreeness is undefined for the zero polynomial")
-    return _squarefree(p, f.tobytes())[0]
+    return _enter(f, p, factoring=False)[1][0]
 
 
 @functools.lru_cache(maxsize=1)
@@ -521,13 +515,19 @@ def _squarefree(p: int, coeffs: bytes) -> tuple[bool, tuple[int, ...] | None]:
     return len(_gcd(f, derivative, p)) <= 1, None
 
 
-def _require_monic_squarefree(f: np.ndarray, p: int) -> None:
-    # f is int64, and not zero once monic, so the cache is read directly:
-    # every call of the public is_squarefree is then a caller's own
-    if not len(f) or f[-1] != 1:
-        raise ValueError("distinct-degree splitting requires a monic polynomial")
-    if not _squarefree(p, f.tobytes())[0]:
-        raise ValueError("distinct-degree splitting requires a squarefree polynomial")
+def _enter(f, p: int, factoring: bool) -> tuple[np.ndarray, tuple]:
+    # p checked, then f as int64 and its _squarefree record, read here so
+    # that every call of the public is_squarefree is a caller's own
+    check_modulus(p)
+    f = np.asarray(f, dtype=np.int64)
+    if factoring and (not len(f) or f[-1] != 1):
+        raise ValueError("factoring requires a monic polynomial")
+    if not factoring and not f.any():  # a monic f is not zero
+        raise ValueError("squarefreeness is undefined for the zero polynomial")
+    record = _squarefree(p, f.tobytes())
+    if factoring and not record[0]:
+        raise ValueError("factoring requires a squarefree polynomial")
+    return f, record
 
 
 def _times(h: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
@@ -571,7 +571,7 @@ def distinct_degree_split(f: np.ndarray, p: int) -> dict[int, np.ndarray]:
 
     Returns {i: product of all irreducible factors of degree i}, each value
     a monic polynomial array, the product of all values equal to f.  Raises
-    ValueError on input that is not monic or not squarefree.
+    ValueError unless p is a prime below 2^20 and f is monic and squarefree.
 
     gcd(f, X^(p^i) - X) is the product of the factors whose degree divides i.
     The powers X^(p^i) mod f come from the Frobenius matrix Q, whose row r is
@@ -588,8 +588,7 @@ def distinct_degree_split(f: np.ndarray, p: int) -> dict[int, np.ndarray]:
     are never separated further: a factorization *pattern* only needs their
     degrees.
     """
-    fr = np.array(f, dtype=np.int64)  # f with the factors found so far divided out
-    _require_monic_squarefree(fr, p)
+    fr = _enter(f, p, factoring=True)[0].copy()  # f with the factors found so far divided out
     n = deg = len(fr) - 1
     if n < 2:
         return {n: fr} if n else {}
@@ -636,9 +635,9 @@ def distinct_degree_split(f: np.ndarray, p: int) -> dict[int, np.ndarray]:
 def factorization_pattern(f: np.ndarray, p: int) -> Pattern:
     """Factorization pattern of a monic squarefree f over F_p.
 
-    The multiset {degree: count} of its irreducible factors; raises
-    ValueError on input that is not monic or not squarefree, where the
-    pattern would be ill-defined.
+    The multiset {degree: count} of its irreducible factors.  Raises
+    ValueError unless p is a prime below 2^20 and f is monic and
+    squarefree; elsewhere the pattern would be ill-defined.
 
     When p > n = deg f and 2 <= n <= :data:`TRACE_FACTOR_MAX_DEGREE`,
     the pattern is read off traces.  F_p[X]/(f) is the product of the fields
@@ -658,9 +657,7 @@ def factorization_pattern(f: np.ndarray, p: int) -> Pattern:
     read as an integer, and above the crossover degree, where splitting's
     O(n^3) is faster than the traces' O(n^3.5).
     """
-    f = np.asarray(f, dtype=np.int64)
-    _require_monic_squarefree(f, p)
-    found = _squarefree(p, f.tobytes())[1]
+    f, (_, found) = _enter(f, p, factoring=True)
     if found is None:
         split = distinct_degree_split(f, p)
         return Pattern.from_pairs((i, (len(g) - 1) // i) for i, g in split.items())

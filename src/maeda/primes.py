@@ -81,6 +81,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# ffpoly's checks of a trial's prime hit its T2 build's, and a failure
+# raises every time; typed, so an int that passed lets no equal float through
+@functools.lru_cache(maxsize=64, typed=True)
 def check_modulus(p: int) -> None:
     """Raise ValueError unless p is a prime below :data:`MAX_MODULUS`."""
     if not 2 <= p < MAX_MODULUS:

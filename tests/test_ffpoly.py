@@ -74,16 +74,28 @@ def test_charpoly_returns_reduced_monic_array():
         assert len(f) == hecke_matrix_T2(k).d + 1 and f[-1] == 1
 
 
-def test_modulus_validation():
-    one = IntMatrix(((1,),))
-    with pytest.raises(ValueError):
-        reduce_matrix(one, 6)  # composite
-    with pytest.raises(ValueError):
-        reduce_matrix(one, MAX_MODULUS + 7)  # beyond the 2^20 cap
-    with pytest.raises(ValueError):
-        reduce_matrix(one, 1048583)  # prime, but >= 2^20
-    with pytest.raises(ValueError):
-        charpoly_mod_p(np.zeros((2, 3), dtype=np.int64), 5)  # not square
+@pytest.mark.parametrize(
+    "entry", [reduce_matrix, charpoly_mod_p, is_squarefree, factorization_pattern,
+              distinct_degree_split], ids=lambda entry: entry.__name__)
+def test_modulus_validation(entry, monkeypatch):
+    # every public function checks p before any work, every time: a spy on
+    # the trace and gcd kernels sees no call.  X^3 + X + 1 is monic and
+    # squarefree at the prime 1048573 < 2^20
+    matrix = entry in (reduce_matrix, charpoly_mod_p)
+    data = [[1, 2, 3], [4, 5, 6], [7, 8, 10]] if matrix else np.array([1, 1, 0, 1], dtype=np.int64)
+    work = []
+    for kernel in ("_power_traces", "_gcd"):
+        original = getattr(ffpoly, kernel)
+        monkeypatch.setattr(ffpoly, kernel, lambda *a, _f=original: work.append(a) or _f(*a))
+    # the 2^20 cap, a prime above it and 2^31 - 1, and composites below it
+    for p in (MAX_MODULUS, MAX_MODULUS + 7, 1048583, 2**31 - 1, 6, 1048575):
+        for _ in range(2):  # a failed check is not remembered
+            with pytest.raises(ValueError, match="modulus"):
+                entry(data, p)
+    assert not work
+    entry(data, 1048573)
+    with pytest.raises(TypeError):  # a passed int does not pass its float
+        entry(data, 1048573.0)
 
 
 def test_reduce_matrix_examples():
@@ -91,6 +103,18 @@ def test_reduce_matrix_examples():
     assert a.dtype == np.int64 and a.tolist() == [[77]]
     zero = IntMatrix(((0, 0), (0, 0)))
     assert reduce_matrix(zero, 13).tolist() == [[0, 0], [0, 0]]
+    for empty in (IntMatrix(()), np.zeros((0, 0)), []):
+        assert reduce_matrix(empty, 13).shape == (0, 0)
+        assert charpoly_mod_p(empty, 13).tolist() == [1]
+    for entry in (reduce_matrix, charpoly_mod_p):
+        for bad in ([[1, 2, 3], [4, 5, 6]], np.zeros((2, 3), dtype=np.int64), [1, 2], 5):
+            with pytest.raises(ValueError, match="square"):
+                entry(bad, 5)
+    # the Hessenberg path (p <= d) overwrites its reduction, never the input
+    m = np.array([[9, -1, 4], [0, 13, 2], [5, 5, 5]])
+    assert reduce_matrix(m, 7) is not m
+    charpoly_mod_p(m, 3)
+    assert m.tolist() == [[9, -1, 4], [0, 13, 2], [5, 5, 5]]
 
 
 def test_reduce_matrix_trace_matches_integer_trace():
@@ -837,16 +861,24 @@ def test_trace_charpoly_of_the_all_p_minus_1_matrix(d, chunks):
 
 def test_charpoly_mod_p_reduces_entries_beyond_int64_exactly():
     # the exact T2 matrix at k = 1200 (d = 100) has entries of about 1800
-    # bits, which np.asarray(..., dtype=np.int64) refuses with OverflowError
+    # bits, which np.asarray(..., dtype=np.int64) refuses with OverflowError.
+    # reduce_matrix reads the same residues from every form of a matrix, and
+    # charpoly_mod_p reads its matrix through it
     m = hecke_matrix_T2(1200)
     assert max(abs(e) for row in m.rows for e in row) >= 2**63
     for p in (97, 1048573):  # the Hessenberg path (p <= d) and the traces
-        expected = charpoly_mod_p(reduce_matrix(m, p), p).tolist()
-        assert charpoly_mod_p(m.rows, p).tolist() == expected, p
-        assert charpoly_mod_p(np.array(m.rows, dtype=object), p).tolist() == expected, p
+        residues = [[e % p for e in row] for row in m.rows]
+        expected = charpoly_mod_p(np.array(residues, dtype=np.int64), p).tolist()
+        forms = (m, m.rows, [list(row) for row in m.rows], np.array(m.rows, dtype=object),
+                 IntMatrix(tuple(map(tuple, residues))), np.array(residues, dtype=np.int64))
+        for form in forms:
+            assert reduce_matrix(form, p).tolist() == residues, p
+            assert charpoly_mod_p(form, p).tolist() == expected, p
+    assert reduce_matrix([[-(2**70)]], 5).tolist() == [[-(2**70) % 5]]
     assert charpoly_mod_p([[-(2**70)]], 5).tolist() == [2**70 % 5, 1]
-    with pytest.raises(ValueError, match="square"):
-        charpoly_mod_p([[2**70, 1]], 5)
+    for entry in (reduce_matrix, charpoly_mod_p):
+        with pytest.raises(ValueError, match="square"):
+            entry([[2**70, 1]], 5)
 
 
 @pytest.mark.parametrize("k", [1092, 1200, 2400, 4800])  # d = 91, 100, 200, 400

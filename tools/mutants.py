@@ -49,6 +49,9 @@ MUTANTS = [
      "witnesses[kind] = Witness(p, pattern, trials)"),
     ("X^p seed read one row off", "ffpoly.py",
      "h = table[s - n].copy()", "h = table[s - n - 1].copy()"),
+    ("a polynomial enters F_p unchecked", "ffpoly.py",
+     "    check_modulus(p)\n    f = np.asarray(f, dtype=np.int64)\n",
+     "    f = np.asarray(f, dtype=np.int64)\n"),
 ]
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
