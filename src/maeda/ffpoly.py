@@ -6,9 +6,10 @@ factorization patterns.
 F_p data are plain int64 numpy arrays of residues in [0, p), passed together
 with p: a matrix is a square 2-d array, and a polynomial is a 1-d array of
 coefficients, lowest degree first, whose last entry is its leading
-coefficient.  Integer data enter F_p only through the public functions:
-each, like :func:`~maeda.hecke.hecke_matrix_T2`, raises ValueError before
-any work unless p is a prime below 2^20, and the helpers trust their p.
+coefficient.  Data enter F_p only through the public functions, by one
+exact reduction (:func:`_residues`) that raises ValueError before any work
+unless p is a prime below 2^20 and every entry is an integer, and the
+helpers trust their p and their residues.
 
 Two regimes.  A trial of the search takes the characteristic polynomial of
 a d x d matrix and the pattern of a degree-d polynomial, and for nearly all
@@ -71,6 +72,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -92,19 +94,30 @@ def reduce_matrix(M, p: int) -> np.ndarray:
 
     M is an integer array, nested sequences, or anything with such ``rows``,
     like :func:`maeda.oracles.hecke_matrix_T2`, entries beyond int64 included.
-    Raises ValueError unless p is a prime below 2^20 and M is square.
+    Raises ValueError unless p is a prime below 2^20 and M a square integer matrix.
     """
-    check_modulus(p)
-    rows = getattr(M, "rows", M)
-    try:
-        h = np.asarray(rows, dtype=np.int64) % p
-    except OverflowError:  # an entry outside int64, such as an exact T2 entry
-        h = (np.asarray(rows, dtype=object) % p).astype(np.int64)
+    h = _residues(getattr(M, "rows", M), p)
     if h.shape == (0,):  # no rows at all
         h = h.reshape(0, 0)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
     return h
+
+
+def _residues(a, p: int) -> np.ndarray:
+    # a new int64 array: a's integer entries (an integral float is one)
+    # reduced exactly into [0, p).  All but an array of signed integers is
+    # read as Python ints: numpy would read the list [2^63 + 1, -1] as floats
+    check_modulus(p)
+    x = a if isinstance(a, np.ndarray) else np.asarray(a, dtype=object)
+    if x.dtype.kind in "bi":
+        return x.astype(np.int64, copy=False) % p
+    exact = np.frompyfunc(lambda e: operator.index(
+        int(e) if isinstance(e, float) and e.is_integer() else e) % p, 1, 1)
+    try:
+        return np.asarray(exact(x), dtype=np.int64)
+    except TypeError:
+        raise ValueError("entries must be integers") from None
 
 
 # float64 holds every integer below 2^53 and a product of two residues is
@@ -481,10 +494,10 @@ TRACE_FACTOR_MAX_DEGREE = 290
 def is_squarefree(f: np.ndarray, p: int) -> bool:
     """True iff f has no repeated irreducible factor over F_p.
 
-    Raises ValueError unless p is a prime below 2^20 and f is not zero.
-    When f is monic, p > n = deg f and 2 <= n <=
-    :data:`TRACE_FACTOR_MAX_DEGREE`, the answer comes from the traces of
-    the Frobenius matrix Q to n.  On
+    Raises ValueError unless p is a prime below 2^20 and f is a 1-d array
+    of integers, not zero mod p.  f is made monic first, and when p > n =
+    deg f and 2 <= n <= :data:`TRACE_FACTOR_MAX_DEGREE`, the answer comes
+    from the traces of the Frobenius matrix Q to n.  On
     F_p[X]/(g^m), g irreducible of degree e, Frobenius maps the ideal
     (g)^j into (g)^(pj), inside (g)^(j+1), so on every graded piece of the
     (g)-adic filtration but the residue field F_(p^e) it is nilpotent.  So
@@ -499,35 +512,41 @@ def is_squarefree(f: np.ndarray, p: int) -> bool:
     factors it, and :func:`factorization_pattern` tests it again and reads
     the degrees instead of building Q again.
     """
-    return _enter(f, p, factoring=False)[1][0]
+    return _squarefree(p, _monic(f, p)[0].tobytes())[0]
 
 
 @functools.lru_cache(maxsize=1)
 def _squarefree(p: int, coeffs: bytes) -> tuple[bool, tuple[int, ...] | None]:
-    # (squarefree?, the sieved traces of _factor_degrees to n, or None off
-    # the trace path)
+    # for monic f: (squarefree?, the sieved traces of _factor_degrees to n,
+    # or None off the trace path)
     f = np.frombuffer(coeffs, dtype=np.int64)
     n = len(f) - 1
-    if 2 <= n <= TRACE_FACTOR_MAX_DEGREE and _by_traces(n, p) and f[-1] == 1:
+    if 2 <= n <= TRACE_FACTOR_MAX_DEGREE and _by_traces(n, p):
         found = _factor_degrees(f, p)
         return sum(found) == n, found
     derivative = f[1:] * np.arange(1, len(f)) % p
     return len(_gcd(f, derivative, p)) <= 1, None
 
 
-def _enter(f, p: int, factoring: bool) -> tuple[np.ndarray, tuple]:
-    # p checked, then f as int64 and its _squarefree record, read here so
-    # that every call of the public is_squarefree is a caller's own
-    check_modulus(p)
-    f = np.asarray(f, dtype=np.int64)
-    if factoring and (not len(f) or f[-1] != 1):
-        raise ValueError("factoring requires a monic polynomial")
-    if not factoring and not f.any():  # a monic f is not zero
-        raise ValueError("squarefreeness is undefined for the zero polynomial")
-    record = _squarefree(p, f.tobytes())
-    if factoring and not record[0]:
-        raise ValueError("factoring requires a squarefree polynomial")
-    return f, record
+def _monic(f, p: int) -> tuple[np.ndarray, bool]:
+    # the monic multiple of f, and whether f is monic: its last residue is
+    # 1, which an untrimmed f's is not
+    f = _residues(f, p)
+    if f.ndim != 1 or not f.any():
+        raise ValueError("a polynomial must be a 1-d array, not zero mod p")
+    if f[-1] == 1:
+        return f, True
+    f = _trim(f)
+    return f * pow(int(f[-1]), p - 2, p) % p, False
+
+
+def _factorable(f, p: int) -> tuple[np.ndarray, tuple[int, ...] | None]:
+    # f and its _squarefree record's factor degrees; ValueError unless monic and squarefree
+    f, monic = _monic(f, p)
+    squarefree, found = _squarefree(p, f.tobytes()) if monic else (False, None)
+    if not squarefree:
+        raise ValueError("factoring requires a monic squarefree polynomial")
+    return f, found
 
 
 def _times(h: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
@@ -588,7 +607,11 @@ def distinct_degree_split(f: np.ndarray, p: int) -> dict[int, np.ndarray]:
     are never separated further: a factorization *pattern* only needs their
     degrees.
     """
-    fr = _enter(f, p, factoring=True)[0].copy()  # f with the factors found so far divided out
+    return _split(_factorable(f, p)[0], p)
+
+
+def _split(f: np.ndarray, p: int) -> dict[int, np.ndarray]:
+    fr = f.copy()  # f with the factors found so far divided out
     n = deg = len(fr) - 1
     if n < 2:
         return {n: fr} if n else {}
@@ -657,10 +680,9 @@ def factorization_pattern(f: np.ndarray, p: int) -> Pattern:
     read as an integer, and above the crossover degree, where splitting's
     O(n^3) is faster than the traces' O(n^3.5).
     """
-    f, (_, found) = _enter(f, p, factoring=True)
+    f, found = _factorable(f, p)
     if found is None:
-        split = distinct_degree_split(f, p)
-        return Pattern.from_pairs((i, (len(g) - 1) // i) for i, g in split.items())
+        return Pattern.from_pairs((i, (len(g) - 1) // i) for i, g in _split(f, p).items())
     return Pattern.from_pairs((e, v // e) for e, v in enumerate(found) if v)
 
 

@@ -1,6 +1,7 @@
 """Prime-field matrices, characteristic polynomials, and factorization patterns."""
 
 import random
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -74,25 +75,31 @@ def test_charpoly_returns_reduced_monic_array():
         assert len(f) == hecke_matrix_T2(k).d + 1 and f[-1] == 1
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch) -> list:
+    """The calls of the trace and gcd kernels, which no refused input may reach."""
+    work: list = []
+    for kernel in ("_power_traces", "_gcd"):
+        original = getattr(ffpoly, kernel)
+        monkeypatch.setattr(ffpoly, kernel, lambda *a, _f=original: work.append(a) or _f(*a))
+    return work
+
+
 @pytest.mark.parametrize(
     "entry", [reduce_matrix, charpoly_mod_p, is_squarefree, factorization_pattern,
               distinct_degree_split], ids=lambda entry: entry.__name__)
-def test_modulus_validation(entry, monkeypatch):
+def test_modulus_validation(entry, kernel_calls):
     # every public function checks p before any work, every time: a spy on
     # the trace and gcd kernels sees no call.  X^3 + X + 1 is monic and
     # squarefree at the prime 1048573 < 2^20
     matrix = entry in (reduce_matrix, charpoly_mod_p)
     data = [[1, 2, 3], [4, 5, 6], [7, 8, 10]] if matrix else np.array([1, 1, 0, 1], dtype=np.int64)
-    work = []
-    for kernel in ("_power_traces", "_gcd"):
-        original = getattr(ffpoly, kernel)
-        monkeypatch.setattr(ffpoly, kernel, lambda *a, _f=original: work.append(a) or _f(*a))
     # the 2^20 cap, a prime above it and 2^31 - 1, and composites below it
     for p in (MAX_MODULUS, MAX_MODULUS + 7, 1048583, 2**31 - 1, 6, 1048575):
         for _ in range(2):  # a failed check is not remembered
             with pytest.raises(ValueError, match="modulus"):
                 entry(data, p)
-    assert not work
+    assert not kernel_calls
     entry(data, 1048573)
     with pytest.raises(TypeError):  # a passed int does not pass its float
         entry(data, 1048573.0)
@@ -125,6 +132,77 @@ def test_reduce_matrix_trace_matches_integer_trace():
         p = primes[rng.randrange(len(primes))]
         a = reduce_matrix(m, p)
         assert int(a.trace()) % p == 1080 % p
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1.5, 0], [0, 2.7]], np.array([[1.5, 0], [0, 2.7]]), [[Fraction(1, 2)]], [["3"]],
+    np.array([["3"]]), [[float("nan")]], np.array([[np.inf]]), [[2**70, float("-inf")], [0, 1]],
+    [[1 + 0j]], [[None]]], ids=["floats", "float-array", "fraction", "string", "string-array",
+                                "nan", "inf-array", "big-and-inf", "complex", "none"])
+def test_matrix_entries_must_be_integers(matrix, kernel_calls):
+    # a fraction, nan, inf, string or complex is refused, not truncated or
+    # parsed, and without a numpy RuntimeWarning
+    for entry in (reduce_matrix, charpoly_mod_p):
+        with pytest.raises(ValueError, match="integers"):
+            entry(matrix, 7)
+    assert not kernel_calls
+
+
+def test_integers_of_every_form_reduce_exactly():
+    # integral floats are integers; numpy would read the list [2^63 + 1, -1]
+    # as floats, and casting uint64 to int64 would wrap
+    assert charpoly_mod_p(np.array([[9.0, -1.0], [0.0, 13.0]]), 7).tolist() == [5, 6, 1]
+    assert charpoly_mod_p([[9.0, -1], [0, 13]], 7).tolist() == [5, 6, 1]
+    assert reduce_matrix([[2**63 + 1, -1], [True, 0]], 7).tolist() == [[(2**63 + 1) % 7, 6], [1, 0]]
+    assert reduce_matrix(np.array([[2**64 - 1]], dtype=np.uint64), 7).tolist() == [[(2**64 - 1) % 7]]
+    assert reduce_matrix([[1e300]], 7).tolist() == [[int(1e300) % 7]]
+    assert is_squarefree([2**70, 1], 7) is is_squarefree([2**70 % 7, 1], 7)
+    assert factorization_pattern([-(2**70), 1], 7) == Pattern.from_lengths((1,))
+
+
+def test_polynomial_coefficients_are_reduced_first():
+    # 1023 = 0 mod 3, so f = 2X^2 (X^2 + 1) over F_3, not squarefree; read
+    # unreduced, its degrees were tracked on entries that were not residues
+    for f in ([1023, 0, 2, 0, 2], np.array([1023, 0, 2, 0, 2]), poly(3, (1023, 0, 2, 0, 2))):
+        assert is_squarefree(f, 3) is False
+    # -1 + 8X^2 = X^2 - 1 = (X - 1)(X + 1) over F_7, monic once reduced
+    for f in ([-1, 0, 8], np.array([-1, 0, 8])):
+        assert factorization_pattern(f, 7) == Pattern.from_lengths((1, 1))
+        assert distinct_degree_split(f, 7)[1].tolist() == [6, 0, 1]
+
+
+@pytest.mark.parametrize("entry", [is_squarefree, factorization_pattern, distinct_degree_split],
+                         ids=lambda entry: entry.__name__)
+def test_polynomials_malformed_or_zero_mod_p_are_refused(entry, kernel_calls):
+    for bad, match in (([7, 14], "zero"), ([0, 0, 7], "zero"), ([1.5, 1], "integers"),
+                       ([Fraction(1, 2), 1], "integers"), (["3", 1], "integers"),
+                       ([float("nan"), 1], "integers"), ([[1, 1]], "1-d"),
+                       (np.ones((1, 2), dtype=np.int64), "1-d"), (5, "1-d")):
+        with pytest.raises(ValueError, match=match):
+            entry(bad, 7)
+    assert not kernel_calls
+
+
+def test_squarefree_rule_is_chosen_by_degree_and_prime_alone(monkeypatch):
+    # is_squarefree scales f to monic, so 3 f takes the trace rule wherever f
+    # does, with the same answer; factoring still refuses 3 f as not monic
+    records = []
+    original = ffpoly._squarefree
+    monkeypatch.setattr(ffpoly, "_squarefree", lambda *a: records.append(original(*a)) or records[-1])
+    rng = random.Random(26)
+    p = 1048573
+    product, factors = planted_polynomial(rng, p, (1, 2, 5))
+    square = poly_mul(product, factors[1], p)  # a repeated quadratic factor
+    for f, squarefree in ((product, True), (square, False)):
+        f = np.array(f, dtype=np.int64)
+        assert _by_traces(len(f) - 1, p)
+        for g in (f, 3 * f % p, 3 * f):
+            records.clear()
+            assert is_squarefree(g, p) is squarefree
+            assert [r[1] is not None for r in records] == [True]  # the trace rule
+        with pytest.raises(ValueError, match="monic"):
+            factorization_pattern(3 * f % p, p)
+    assert factorization_pattern(product, p) == Pattern.from_lengths((1, 2, 5))
 
 
 def test_charpoly_one_by_one():
@@ -247,10 +325,11 @@ def test_factorization_pattern_rejects_non_squarefree():
     assert not is_squarefree(square, 5)
     with pytest.raises(ValueError):
         factorization_pattern(square, 5)
-    with pytest.raises(ValueError):
-        distinct_degree_split(poly(5, (1, 3)), 5)  # leading coefficient 3
-    with pytest.raises(ValueError):
-        distinct_degree_split(poly(5, (1, 1, 0)), 5)  # untrimmed: leading entry 0
+    for entry in (distinct_degree_split, factorization_pattern):
+        with pytest.raises(ValueError, match="monic"):
+            entry(poly(5, (1, 3)), 5)  # leading coefficient 3
+        with pytest.raises(ValueError, match="monic"):
+            entry(poly(5, (1, 1, 0)), 5)  # untrimmed: leading entry 0
 
 
 def test_ddf_against_trial_factorization():
@@ -754,7 +833,7 @@ def paths(monkeypatch) -> list[str]:
     call, in order."""
     taken: list[str] = []
     for name, kernel in (("traces", "_charpoly_traces"), ("hessenberg", "_charpoly_hessenberg"),
-                         ("traces", "_factor_degrees"), ("split", "distinct_degree_split")):
+                         ("traces", "_factor_degrees"), ("split", "_split")):
         original = getattr(ffpoly, kernel)
         monkeypatch.setattr(ffpoly, kernel, lambda *a, _f=original, _n=name: taken.append(_n) or _f(*a))
     return taken
