@@ -7,7 +7,6 @@ is caught.
 Run:  python3 demos/04_certify_and_recheck.py
 """
 
-import dataclasses
 from pathlib import Path
 
 from maeda.certify import check_certificate
@@ -33,8 +32,8 @@ assert cmd_check(out) == 0
 print("\n=== tampering is caught ===")
 cert = read_certificate(certificate_path(out, 96))
 witness = cert.witnesses[PrimeType.I]
-fake = dataclasses.replace(witness, prime=witness.prime + 2)
-bad = dataclasses.replace(cert, witnesses={**cert.witnesses, PrimeType.I: fake})
+fake = witness._replace(prime=witness.prime + 2)
+bad = cert._replace(witnesses={**cert.witnesses, PrimeType.I: fake})
 result = check_certificate(bad)
 print(f"shifted kind-I witness {witness.prime} -> {fake.prime}:",
       "ACCEPTED" if result else f"rejected ({'; '.join(result.reasons)})")

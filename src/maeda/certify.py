@@ -40,8 +40,7 @@ import math
 import random
 import time
 from _blake2 import blake2b
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -105,8 +104,7 @@ class SearchExhausted(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """One witness prime: the prime, its pattern, and the trial that found it."""
 
     prime: int
@@ -114,8 +112,7 @@ class Witness:
     trial: int
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Per-weight record of witness primes, sufficient for independent recheck.
 
     ``vacuous`` marks dimension-1 weights: a linear characteristic polynomial
@@ -136,12 +133,11 @@ class Certificate:
     duration_ms: int
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of a certificate recheck; falsy iff anything failed."""
 
     ok: bool
-    reasons: tuple[str, ...] = field(default=())
+    reasons: tuple[str, ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok

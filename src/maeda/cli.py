@@ -34,10 +34,9 @@ import os
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .certify import (
     MODES,
@@ -62,8 +61,7 @@ SUMMARY_FIELDS = ["weight", "dimension", "status", *(f"witness_{t}" for t in Pri
 _TEMP_FILE = re.compile(rf"\.{CERT_PREFIX}\d+\.json\.(\d+)\.tmp")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Options for one verification batch."""
 
     k_min: int
@@ -225,8 +223,7 @@ def _cert_sort_key(path: Path) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 # verify
 
-@dataclass(frozen=True)
-class WeightResult:
+class WeightResult(NamedTuple):
     """One weight's certificate, or why it has none: an empty cusp space, or
     the message of :class:`SearchExhausted`, whose ``__init__`` does not
     survive the pickling that ``--jobs`` puts every result through."""
@@ -299,7 +296,7 @@ def cmd_verify(config: RunConfig) -> int:
     """Certify a weight range; certificates plus summary.csv in the out dir."""
     try:
         config.validate()
-        config.out_dir = Path(config.out_dir)
+        config = config._replace(out_dir=Path(config.out_dir))
         config.out_dir.mkdir(parents=True, exist_ok=True)
         _remove_stale_temp_files(config.out_dir)
     except (ValueError, OSError) as exc:
@@ -442,7 +439,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.out_dir is None:
             print("error: --out is required (or set MAEDA_OUT)", file=sys.stderr)
             return 2
-        return cmd_verify(RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)}))
+        return cmd_verify(RunConfig(**{name: getattr(args, name) for name in RunConfig._fields}))
     if args.command == "check":
         return cmd_check(args.directory)
     if args.command == "stats":

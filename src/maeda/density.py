@@ -20,8 +20,8 @@ runs in log space.  A brute-force enumeration of S_d (d <= 8) in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .patterns import Pattern, PrimeType
 from .primes import sieve_primes
@@ -163,16 +163,14 @@ def lower_bound(kind: PrimeType, d: int) -> float | None:
     return None
 
 
-@dataclass(frozen=True)
-class BoundViolation:
+class BoundViolation(NamedTuple):
     d: int
     kind: PrimeType
     value: float
     bound: float
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of the density lower-bound sweeps."""
 
     d_max: int

@@ -10,9 +10,8 @@ by :class:`Pattern`.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class PrimeType(Enum):
@@ -27,25 +26,32 @@ class PrimeType(Enum):
         return self.value
 
 
-@dataclass(frozen=True, order=True)
-class Pattern:
+class Pattern(NamedTuple("Pattern", [("parts", tuple[tuple[int, int], ...])])):
     """Canonical multiset of positive part lengths with multiplicities.
 
     ``parts`` is a tuple of (length, multiplicity) pairs, strictly increasing
     in length, every multiplicity positive.  The empty pattern describes a
-    degree-0 polynomial (or the permutation of zero letters).
+    degree-0 polynomial (or the permutation of zero letters).  Every way in
+    checks that: the constructor, ``_make`` and so ``_replace``, and
+    unpickling, which calls ``__new__``.
     """
 
-    parts: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, parts: tuple[tuple[int, int], ...]) -> "Pattern":
         last = 0
-        for length, mult in self.parts:
+        for length, mult in parts:
             if length <= last:
                 raise ValueError("parts must be strictly increasing in length")
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
             last = length
+        return super().__new__(cls, parts)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Pattern":
+        # the inherited _make calls tuple.__new__ and would skip the check
+        return cls(*iterable)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Pattern":

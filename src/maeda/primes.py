@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -85,7 +86,10 @@ def is_prime(n: int) -> bool:
 # raises every time; typed, so an int that passed lets no equal float through
 @functools.lru_cache(maxsize=64, typed=True)
 def check_modulus(p: int) -> None:
-    """Raise ValueError unless p is a prime below :data:`MAX_MODULUS`."""
+    """Raise TypeError unless p is an integer (``operator.index`` takes it),
+    and ValueError unless it is a prime below :data:`MAX_MODULUS`."""
+    # before is_prime, whose trial division reads 7.0 as the prime 7
+    p = operator.index(p)
     if not 2 <= p < MAX_MODULUS:
         raise ValueError(f"modulus must satisfy 2 <= p < 2^20, got {p}")
     if not is_prime(p):

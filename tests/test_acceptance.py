@@ -8,7 +8,6 @@ suite out.
 """
 
 import csv
-import dataclasses
 import json
 import math
 import time
@@ -238,8 +237,8 @@ def test_criterion_8_certificate_tamper_detection(tmp_path):
             break
     assert substitute is not None
     witnesses = dict(cert.witnesses)
-    witnesses[T.I] = dataclasses.replace(original, prime=substitute)
-    tampered = dataclasses.replace(cert, witnesses=witnesses)
+    witnesses[T.I] = original._replace(prime=substitute)
+    tampered = cert._replace(witnesses=witnesses)
 
     result = check_certificate(tampered)
     assert not result

@@ -1,7 +1,6 @@
 """Classification, witness search, certificates, and the rechecker."""
 
 import bisect
-import dataclasses
 import json
 import random
 
@@ -254,7 +253,7 @@ def find_non_witness_prime(weight: int, kind: PrimeType, recorded: Witness) -> i
 
 def test_check_certificate_detects_wrong_dimension():
     cert = verify_weight(48, seed=9)
-    bad = dataclasses.replace(cert, dimension=cert.dimension + 1)
+    bad = cert._replace(dimension=cert.dimension + 1)
     result = check_certificate(bad)
     assert not result and result.reasons == ("wrong dimension",)
 
@@ -264,8 +263,8 @@ def test_check_certificate_detects_substituted_prime():
     kind = T.I
     substitute = find_non_witness_prime(48, kind, cert.witnesses[kind])
     witnesses = dict(cert.witnesses)
-    witnesses[kind] = dataclasses.replace(witnesses[kind], prime=substitute)
-    bad = dataclasses.replace(cert, witnesses=witnesses)
+    witnesses[kind] = witnesses[kind]._replace(prime=substitute)
+    bad = cert._replace(witnesses=witnesses)
     result = check_certificate(bad)
     assert not result
     assert any("pattern mismatch" in r for r in result.reasons)
@@ -275,8 +274,8 @@ def test_check_certificate_detects_non_squarefree_witness():
     cert = verify_weight(24, seed=9)
     witnesses = dict(cert.witnesses)
     # 2 divides the weight-24 discriminant: reduction is not squarefree
-    witnesses[T.I] = dataclasses.replace(witnesses[T.I], prime=2)
-    bad = dataclasses.replace(cert, witnesses=witnesses)
+    witnesses[T.I] = witnesses[T.I]._replace(prime=2)
+    bad = cert._replace(witnesses=witnesses)
     result = check_certificate(bad)
     assert any("non-squarefree" in r for r in result.reasons)
 
@@ -287,7 +286,7 @@ def test_check_certificate_detects_type_mismatch():
     w1, w3 = witnesses[T.I], witnesses[T.III]
     assert w1.pattern != pat({4: 1}) or w3.pattern != w1.pattern
     witnesses[T.III] = w1  # relabel the kind-I witness as kind III
-    bad = dataclasses.replace(cert, witnesses=witnesses)
+    bad = cert._replace(witnesses=witnesses)
     result = check_certificate(bad)
     assert any("type mismatch" in r for r in result.reasons)
 
@@ -295,11 +294,11 @@ def test_check_certificate_detects_type_mismatch():
 def test_check_certificate_detects_composite_and_out_of_range():
     cert = verify_weight(36, seed=9)
     witnesses = dict(cert.witnesses)
-    witnesses[T.I] = dataclasses.replace(witnesses[T.I], prime=15)
-    result = check_certificate(dataclasses.replace(cert, witnesses=witnesses))
+    witnesses[T.I] = witnesses[T.I]._replace(prime=15)
+    result = check_certificate(cert._replace(witnesses=witnesses))
     assert any("composite" in r for r in result.reasons)
 
-    small = dataclasses.replace(cert, prime_bound=3)
+    small = cert._replace(prime_bound=3)
     result = check_certificate(small)
     assert any("outside prime bound" in r for r in result.reasons)
 
@@ -432,8 +431,8 @@ def test_consecutive_draws_are_a_prefix_of_the_full_sieve(
 def test_check_certificate_builds_the_distinct_valid_primes_in_one_block(built_blocks, cert48):
     cert = cert48[1]  # kinds III and IV share prime 298201
     witnesses = dict(cert.witnesses)
-    witnesses[T.II] = dataclasses.replace(witnesses[T.II], prime=15)
-    result = check_certificate(dataclasses.replace(cert, witnesses=witnesses))
+    witnesses[T.II] = witnesses[T.II]._replace(prime=15)
+    result = check_certificate(cert._replace(witnesses=witnesses))
     assert "kind II witness 15: composite" in result.reasons
     ordered = sorted(witnesses.items(), key=lambda kv: kv[0].value)
     valid = list(dict.fromkeys(w.prime for _, w in ordered if w.prime != 15))
@@ -446,8 +445,8 @@ def test_check_certificate_rejects_prime_bound_above_2_20(built_primes, cert48):
     # must become a FAIL reason, and no matrix may be built at that prime
     cert = cert48[9]
     witnesses = dict(cert.witnesses)
-    witnesses[T.I] = dataclasses.replace(witnesses[T.I], prime=1048583)
-    bad = dataclasses.replace(cert, prime_bound=4194304, witnesses=witnesses)
+    witnesses[T.I] = witnesses[T.I]._replace(prime=1048583)
+    bad = cert._replace(prime_bound=4194304, witnesses=witnesses)
     result = check_certificate(bad)
     assert not result
     assert "prime bound 4194304 outside [3, 2^20]" in result.reasons
@@ -463,8 +462,8 @@ def test_check_certificate_refuses_huge_prime_before_primality_test(monkeypatch)
     cert = verify_weight(48, seed=9)
     witnesses = dict(cert.witnesses)
     huge = 10**4200 + 7
-    witnesses[T.I] = dataclasses.replace(witnesses[T.I], prime=huge)
-    result = check_certificate(dataclasses.replace(cert, witnesses=witnesses))
+    witnesses[T.I] = witnesses[T.I]._replace(prime=huge)
+    result = check_certificate(cert._replace(witnesses=witnesses))
     assert f"kind I witness {huge}: not below 2^20" in result.reasons
     assert tested and all(n < 1 << 20 for n in tested)
 
@@ -537,7 +536,7 @@ def test_check_certificate_refuses_weight_above_max(built_primes, cert48):
     # a header consistent with an absurd weight must not start a build
     cert = cert48[9]
     k = 10**6
-    bad = dataclasses.replace(cert, weight=k, dimension=dim_cusp_forms(k))
+    bad = cert._replace(weight=k, dimension=dim_cusp_forms(k))
     result = check_certificate(bad)
     assert not result
     assert result.reasons == (f"weight {k} above {MAX_WEIGHT}",)
@@ -556,8 +555,8 @@ def test_check_certificate_compares_pattern_size_at_refused_prime(
     # still compared with d, so both faults are reported
     cert = cert48[9]
     witnesses = dict(cert.witnesses)
-    witnesses[T.I] = dataclasses.replace(witnesses[T.I], prime=prime, pattern=pat({2: 1}))
-    result = check_certificate(dataclasses.replace(cert, prime_bound=bound, witnesses=witnesses))
+    witnesses[T.I] = witnesses[T.I]._replace(prime=prime, pattern=pat({2: 1}))
+    result = check_certificate(cert._replace(prime_bound=bound, witnesses=witnesses))
     assert f"kind I witness {prime}: pattern size 2, expected 4" in result.reasons
     assert f"kind I witness {prime}: {refusal}" in result.reasons
     assert prime not in built_primes
@@ -567,7 +566,7 @@ def test_check_certificate_missing_witness():
     cert = verify_weight(36, seed=9)
     witnesses = dict(cert.witnesses)
     del witnesses[T.II]
-    result = check_certificate(dataclasses.replace(cert, witnesses=witnesses))
+    result = check_certificate(cert._replace(witnesses=witnesses))
     assert any("missing witness" in r for r in result.reasons)
 
 

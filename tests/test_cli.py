@@ -2,11 +2,11 @@
 
 import contextlib
 import csv
-import dataclasses
 import gc
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -17,7 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maeda import certify, cli
-from maeda.certify import MAX_WEIGHT, check_certificate, verify_weight
+from maeda.certify import MAX_WEIGHT, CheckResult, check_certificate, verify_weight
+from maeda.density import BoundViolation, check_density_bounds
 from maeda.hecke import dim_cusp_forms
 from maeda.cli import (
     RunConfig,
@@ -30,7 +31,7 @@ from maeda.cli import (
     read_certificate,
     write_certificate,
 )
-from maeda.patterns import PrimeType
+from maeda.patterns import Pattern, PrimeType
 from maeda.report import cmd_density, cmd_stats, ratio_rows, ratio_summary
 
 from test_certify import find_non_witness_prime
@@ -199,6 +200,31 @@ def test_cmd_verify_parallel_matches_serial(tmp_path):
         assert a == b
 
 
+def test_records_are_frozen_and_survive_the_pool_only_if_valid(small_run):
+    # the --jobs pool pickles WeightResult -> Certificate -> Witness -> Pattern
+    cert = read_certificate(certificate_path(small_run, 48))
+    result = cli.WeightResult(48, cert.dimension, cert)
+    assert pickle.loads(pickle.dumps(result)) == result
+    witness = cert.witnesses[T.I]
+    unordered = tuple.__new__(Pattern, (((2, 1), (1, 1)),))
+    tampered = result._replace(
+        cert=cert._replace(witnesses={T.I: witness._replace(pattern=unordered)}))
+    with pytest.raises(ValueError, match="increasing"):
+        pickle.loads(pickle.dumps(tampered))
+    records = [witness.pattern, witness, cert, check_certificate(cert),
+               RunConfig(12, 60, small_run), result, check_density_bounds(20),
+               BoundViolation(3, T.II, 0.1, 0.2)]
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+
+def test_check_result_is_falsy_exactly_when_not_ok():
+    assert bool(CheckResult(True)) and bool(CheckResult(True, ("note",)))
+    assert not CheckResult(False) and not CheckResult(False, ("pattern mismatch",))
+
+
 def test_cmd_verify_starts_no_more_workers_than_weights(tmp_path, monkeypatch):
     # under fork a pool starts all its workers at the first submit; this
     # stand-in starts none and only records how many were asked for
@@ -242,7 +268,7 @@ def test_write_certificate_is_atomic(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(Path, "write_text", write_half_then_fail)
-    rewritten = dataclasses.replace(cert, duration_ms=cert.duration_ms + 1)
+    rewritten = cert._replace(duration_ms=cert.duration_ms + 1)
     with pytest.raises(OSError):
         write_certificate(path, rewritten)  # the old file stays whole
     with pytest.raises(OSError):
@@ -368,9 +394,9 @@ def test_cmd_check_flags_tampered_certificate(small_run, tmp_path, capsys):
     cert = read_certificate(victim / "cert_48.json")
     substitute = find_non_witness_prime(48, T.I, cert.witnesses[T.I])
     witnesses = dict(cert.witnesses)
-    witnesses[T.I] = dataclasses.replace(witnesses[T.I], prime=substitute)
+    witnesses[T.I] = witnesses[T.I]._replace(prime=substitute)
     write_certificate(victim / "cert_48.json",
-                      dataclasses.replace(cert, witnesses=witnesses))
+                      cert._replace(witnesses=witnesses))
     assert cmd_check(victim) == 1
     out = capsys.readouterr().out
     assert "cert_48.json: FAIL" in out and "pattern mismatch" in out
@@ -679,9 +705,9 @@ def test_process_output_and_exit_codes_survive_the_frozen_exit(tmp_path):
 
     cert = read_certificate(tmp_path / "cert_48.json")
     witnesses = dict(cert.witnesses)
-    witnesses[T.I] = dataclasses.replace(
-        witnesses[T.I], prime=find_non_witness_prime(48, T.I, cert.witnesses[T.I]))
-    write_certificate(tmp_path / "cert_48.json", dataclasses.replace(cert, witnesses=witnesses))
+    witnesses[T.I] = witnesses[T.I]._replace(
+        prime=find_non_witness_prime(48, T.I, cert.witnesses[T.I]))
+    write_certificate(tmp_path / "cert_48.json", cert._replace(witnesses=witnesses))
     check = _maeda_process("check", str(tmp_path))
     assert check.returncode == 1 and b"cert_48.json: FAIL" in check.stdout
 

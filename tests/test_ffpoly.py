@@ -99,10 +99,17 @@ def test_modulus_validation(entry, kernel_calls):
         for _ in range(2):  # a failed check is not remembered
             with pytest.raises(ValueError, match="modulus"):
                 entry(data, p)
+    # a float is no modulus, even one equal to a trial-division base of
+    # is_prime, or to a prime that passed
+    for p in (2.0, 7.0, np.float64(37.0)):
+        with pytest.raises(TypeError):
+            entry(data, p)
     assert not kernel_calls
     entry(data, 1048573)
-    with pytest.raises(TypeError):  # a passed int does not pass its float
+    work = len(kernel_calls)
+    with pytest.raises(TypeError):
         entry(data, 1048573.0)
+    assert len(kernel_calls) == work
 
 
 def test_reduce_matrix_examples():

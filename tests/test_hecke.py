@@ -177,6 +177,15 @@ def test_t2_mod_p_rejects_large_or_composite_modulus(p):
         hecke.hecke_matrix_T2(48, p)
 
 
+@pytest.mark.parametrize("p", [1048573.0, 2.0, 7.0, np.float64(37.0)])
+def test_t2_mod_p_refuses_a_float_modulus(monkeypatch, p):
+    built: list = []
+    monkeypatch.setattr(qseries, "_fill_rows", lambda *args: built.append(args))
+    with pytest.raises(TypeError):
+        hecke.hecke_matrix_T2(48, p)
+    assert built == []
+
+
 def test_t2_mod_p_rejects_bad_weights():
     for k in (13, 10, 0):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """The shared Pattern multiset type."""
 
+import pickle
+
 import pytest
 
 from maeda.patterns import Pattern, PrimeType
@@ -36,6 +38,21 @@ def test_validation():
         Pattern(((2, 0),))  # zero multiplicity
     with pytest.raises(ValueError):
         Pattern(((0, 1),))  # zero length
+
+
+@pytest.mark.parametrize("bad", [((2, 1), (2, 1)), ((3, 1), (2, 1)), ((2, 0),), ((0, 1),),
+                                 ((-1, 1),)])
+def test_every_way_in_validates(bad):
+    # the constructor, _make, _replace and unpickling; the --jobs pool
+    # pickles every pattern of every certificate it hands back
+    good = Pattern(((1, 1), (2, 1)))
+    assert pickle.loads(pickle.dumps(good)) == good
+    assert good._replace(parts=((3, 1),)) == Pattern(((3, 1),))
+    smuggled = tuple.__new__(Pattern, (bad,))  # past every check
+    for way_in in (lambda: Pattern(bad), lambda: Pattern._make([bad]),
+                   lambda: good._replace(parts=bad), lambda: pickle.loads(pickle.dumps(smuggled))):
+        with pytest.raises(ValueError):
+            way_in()
 
 
 def test_str_and_hash():
